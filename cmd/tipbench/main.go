@@ -25,7 +25,6 @@ import (
 	"runtime/metrics"
 	"runtime/pprof"
 	rtrace "runtime/trace"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -57,7 +56,7 @@ func main() {
 		window      = flag.Uint64("window", 0, "sampled measurement-window cycles for -figures sampled (0 = default)")
 		interval    = flag.Uint64("interval", 0, "sampled window period in cycles for -figures sampled (0 = default)")
 		warmup      = flag.String("warmup", "", "detailed warmup cycles per sampled window for -figures sampled, or \"auto\" to size from the fast-forward leg length (empty = default)")
-		windowW     = flag.Int("windowworkers", 0, "checkpoint-parallel sampled simulation for -figures sampled: worker cores running detailed windows concurrently (0 = serial)")
+		windowW     = flag.Int("windowworkers", 0, "sampled simulation for -figures sampled: worker cores running detailed windows concurrently (0 means 1; output is byte-identical at any count)")
 		sampledjson = flag.String("sampledjson", "", "write machine-readable sampled-vs-full comparison (CPI error, effective cycles/sec, speedup) to this JSON file; requires -figures sampled")
 	)
 	flag.Parse()
@@ -202,14 +201,10 @@ func main() {
 			TargetSamples:  *samples,
 			WindowCycles:   *window,
 			WindowInterval: *interval,
+			Warmup:         *warmup,
 			WindowWorkers:  *windowW,
 			Checked:        *checked,
 			ReplayWorkers:  *replayW,
-		}
-		if *warmup == "auto" {
-			sopt.WarmupAuto = true
-		} else if *warmup != "" {
-			sopt.WarmupCycles, _ = strconv.ParseUint(*warmup, 10, 64)
 		}
 		// Sequential on purpose: each comparison times a full run against a
 		// sampled run of the same workload, and concurrent simulations would
@@ -266,8 +261,9 @@ func suiteNames(opt experiments.Options) []string {
 
 // validateSampledFlags rejects the sampled-mode flags when the sampled
 // figure is not selected (the geometry would be silently ignored otherwise)
-// and, when it is selected, validates the window geometry after default
-// filling — so a bad schedule fails before any simulation starts.
+// and, when it is selected, resolves the window geometry exactly as
+// experiments.CompareSampled will — so a bad schedule fails before any
+// simulation starts.
 func validateSampledFlags(sampledSel bool, window, interval uint64, warmup string, workers int, sampledjson string) error {
 	if !sampledSel {
 		switch {
@@ -288,31 +284,7 @@ func validateSampledFlags(sampledSel bool, window, interval uint64, warmup strin
 		return fmt.Errorf("-windowworkers must be >= 0, got %d", workers)
 	}
 	rc := tip.DefaultRunConfig()
-	rc.Sampled = true
-	rc.WindowCycles = window
-	rc.WindowInterval = interval
-	rc.WindowWorkers = workers
-	if rc.WindowCycles == 0 {
-		rc.WindowCycles = experiments.DefaultSampledWindow
-	}
-	if rc.WindowInterval == 0 {
-		rc.WindowInterval = experiments.DefaultSampledInterval
-	}
-	switch warmup {
-	case "auto":
-		rc.WarmupCycles = tip.AutoWarmupCycles(rc.WindowCycles, rc.WindowInterval)
-	case "":
-		if rc.WindowCycles != rc.WindowInterval {
-			rc.WarmupCycles = experiments.DefaultSampledWarmup
-		}
-	default:
-		cycles, err := strconv.ParseUint(warmup, 10, 64)
-		if err != nil {
-			return fmt.Errorf("-warmup must be a cycle count or \"auto\": %q", warmup)
-		}
-		rc.WarmupCycles = cycles
-	}
-	return tip.ValidateSampled(rc)
+	return rc.ResolveSampled(window, interval, warmup)
 }
 
 // benchJSONSchemaVersion versions the -benchjson report layout. Bump it when

@@ -19,11 +19,9 @@ import (
 	"runtime"
 	"runtime/pprof"
 	rtrace "runtime/trace"
-	"strconv"
 	"strings"
 
 	tip "github.com/tipprof/tip"
-	"github.com/tipprof/tip/internal/experiments"
 	"github.com/tipprof/tip/internal/perfdata"
 	"github.com/tipprof/tip/internal/sampling"
 	"github.com/tipprof/tip/internal/workload"
@@ -48,7 +46,7 @@ func main() {
 		window    = flag.Uint64("window", 0, "sampled measurement-window length in cycles (0 = default 8192; requires -sampled)")
 		interval  = flag.Uint64("interval", 0, "sampled window period in cycles (0 = default 131072; requires -sampled)")
 		warmup    = flag.String("warmup", "", "detailed warmup cycles before each sampled window, or \"auto\" to size from the fast-forward leg length (empty = default 8192; requires -sampled)")
-		windowW   = flag.Int("windowworkers", 0, "checkpoint-parallel sampled simulation: worker cores running detailed windows concurrently over the functional sweep (0 = serial; output is byte-identical at any count >= 1; requires -sampled)")
+		windowW   = flag.Int("windowworkers", 0, "sampled simulation: worker cores running detailed windows concurrently over the functional sweep (0 means 1; output is byte-identical at any count; requires -sampled)")
 		checkInv  = flag.Bool("check", false, "verify cycle-level trace invariants and profiler conservation; fail on any violation")
 		replayW   = flag.Int("replayworkers", 1, "worker goroutines the captured-trace replay fans the profilers out over (decode-once broadcast; results are byte-identical at any count)")
 		cpuprof   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -181,10 +179,8 @@ func printResult(name string, res *tip.Result, top int, fn string) {
 	if sr := res.Sampling; sr != nil {
 		fmt.Printf("sampled: %d windows, %d measured cycles (%.1f%% detailed), %d instructions fast-forwarded; cycle total is the stitched estimate\n",
 			sr.Windows, sr.MeasuredCycles, sr.DetailedFraction()*100, sr.FFInstructions)
-		if sr.WindowWorkers > 0 {
-			fmt.Printf("parallel: %d window workers; sweep %.2fs, detailed legs %.2fs aggregate\n",
-				sr.WindowWorkers, sr.SweepSeconds, sr.MeasureSeconds)
-		}
+		fmt.Printf("parallel: %d window workers; sweep %.2fs, detailed legs %.2fs aggregate\n",
+			sr.WindowWorkers, sr.SweepSeconds, sr.MeasureSeconds)
 	}
 	fmt.Printf("mispredicts %d, CSR flushes %d, exceptions %d\n",
 		res.Stats.Mispredicts, res.Stats.CSRFlushes, res.Stats.Exceptions)
@@ -261,9 +257,8 @@ func runMulticore(spec string, seed, scale uint64, rc tip.RunConfig, top int, fn
 // configureSampled applies the sampled-simulation flags to rc. The geometry
 // flags are meaningless without -sampled, and -record needs the concrete
 // sample interval before the run starts while sampled mode calibrates from
-// a pilot window — both are rejected rather than silently ignored. Zero
-// geometry values take the evaluation-harness defaults; warmup accepts the
-// literal "auto" to size the warmup from the fast-forward leg length.
+// a pilot window — both are rejected rather than silently ignored. The
+// geometry itself is resolved and validated by tip.RunConfig.ResolveSampled.
 func configureSampled(rc *tip.RunConfig, sampled bool, window, interval uint64, warmup string, workers int, recording bool) error {
 	if !sampled {
 		switch {
@@ -284,34 +279,8 @@ func configureSampled(rc *tip.RunConfig, sampled bool, window, interval uint64, 
 	if workers < 0 {
 		return fmt.Errorf("-windowworkers must be >= 0, got %d", workers)
 	}
-	rc.Sampled = true
-	rc.WindowCycles = window
-	rc.WindowInterval = interval
 	rc.WindowWorkers = workers
-	if rc.WindowCycles == 0 {
-		rc.WindowCycles = experiments.DefaultSampledWindow
-	}
-	if rc.WindowInterval == 0 {
-		rc.WindowInterval = experiments.DefaultSampledInterval
-	}
-	switch warmup {
-	case "auto":
-		rc.WarmupAuto = true
-	case "":
-		if rc.WindowCycles != rc.WindowInterval {
-			rc.WarmupCycles = experiments.DefaultSampledWarmup
-		}
-	default:
-		cycles, err := strconv.ParseUint(warmup, 10, 64)
-		if err != nil {
-			return fmt.Errorf("-warmup must be a cycle count or \"auto\": %q", warmup)
-		}
-		rc.WarmupCycles = cycles
-	}
-	if rc.WarmupAuto {
-		rc.WarmupCycles = tip.AutoWarmupCycles(rc.WindowCycles, rc.WindowInterval)
-	}
-	return tip.ValidateSampled(*rc)
+	return rc.ResolveSampled(window, interval, warmup)
 }
 
 func parseKinds(s string) ([]tip.Kind, error) {

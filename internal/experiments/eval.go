@@ -70,9 +70,10 @@ type Options struct {
 	// windows and the reported cycle total is the stitched estimate.
 	// Mutually exclusive with Streaming.
 	Sampled bool
-	// WindowCycles, WindowInterval, WarmupCycles set the sampled schedule
-	// geometry (0 = DefaultSampled*); WarmupAuto sizes the warmup from the
-	// fast-forward leg length instead. Ignored unless Sampled.
+	// WindowCycles, WindowInterval, WarmupCycles request the sampled
+	// schedule geometry (0 = the defaults tip.RunConfig.ResolveSampled
+	// applies); WarmupAuto sizes the warmup from the fast-forward leg
+	// length instead. Ignored unless Sampled.
 	WindowCycles   uint64
 	WindowInterval uint64
 	WarmupCycles   uint64
@@ -81,11 +82,9 @@ type Options struct {
 	// checkpoint-parallel on up to this many worker cores. Like
 	// ReplayWorkers, workers beyond the first only materialize when the
 	// shared Parallelism budget has idle slots, so suite-level and
-	// window-level parallelism never oversubscribe the host. Results are
-	// byte-identical at any count >= 1 (and any WindowWorkers > 0 request
-	// always gets at least one worker — the evaluation's own held slot —
-	// so the schedule never silently degrades to the serial variant).
-	// Ignored unless Sampled.
+	// window-level parallelism never oversubscribe the host; the first
+	// worker is the evaluation's own held slot, so values below 1 mean 1.
+	// Results are byte-identical at any count. Ignored unless Sampled.
 	WindowWorkers int
 }
 
@@ -211,9 +210,9 @@ type Timing struct {
 	// ReplayWorkers is the worker count the replay actually ran with
 	// (≤ Options.ReplayWorkers, depending on idle budget slots).
 	ReplayWorkers int
-	// WindowWorkers is the checkpoint-parallel worker count a sampled
-	// evaluation actually ran with (≤ Options.WindowWorkers, depending on
-	// idle budget slots; 0 when the run was serial or not sampled).
+	// WindowWorkers is the window worker count a sampled evaluation
+	// actually ran with (between 1 and Options.WindowWorkers, depending on
+	// idle budget slots; 0 when the run was not sampled).
 	WindowWorkers int
 }
 
@@ -327,16 +326,14 @@ func evalBenchmark(ctx context.Context, b *budget, name string, opt Options) (*B
 	if opt.Sampled {
 		// Sampled path: one sampled simulation streams its measurement
 		// windows into the matrix; the cycle total is the stitched
-		// estimate. Extra window workers borrow idle budget slots — the
-		// evaluation's own held slot covers the first worker, so a
-		// WindowWorkers request never degrades below the parallel
-		// schedule (whose output is byte-identical at any count >= 1).
+		// estimate. The evaluation's own held slot covers the first
+		// window worker and extra ones borrow idle budget slots (the
+		// output is byte-identical at any count).
 		src := tip.RunConfig{
 			Core:          cfg.Core,
 			Profilers:     []profiler.Kind{}, // matrix supplied by the hook
 			TargetSamples: opt.TargetSamples,
 			SamplingSeed:  cfg.SamplingSeed, // schedule jitter: match direct runs
-			Sampled:       true,
 			ReplayWorkers: 1,
 			ExtraConsumersAt: func(interval, estCycles uint64) []trace.Consumer {
 				interval4k = interval
@@ -345,24 +342,13 @@ func evalBenchmark(ctx context.Context, b *budget, name string, opt Options) (*B
 				return m.consumers
 			},
 		}
-		src.WindowCycles = opt.WindowCycles
-		if src.WindowCycles == 0 {
-			src.WindowCycles = DefaultSampledWindow
+		warmup := tip.WarmupSpec(opt.WarmupCycles, opt.WarmupAuto)
+		if err := src.ResolveSampled(opt.WindowCycles, opt.WindowInterval, warmup); err != nil {
+			return nil, tm, err
 		}
-		src.WindowInterval = opt.WindowInterval
-		if src.WindowInterval == 0 {
-			src.WindowInterval = DefaultSampledInterval
-		}
-		src.WarmupCycles = opt.WarmupCycles
-		src.WarmupAuto = opt.WarmupAuto
-		if !src.WarmupAuto && src.WarmupCycles == 0 && src.WindowCycles != src.WindowInterval {
-			src.WarmupCycles = DefaultSampledWarmup
-		}
-		if opt.WindowWorkers > 0 {
-			extra := b.tryExtra(opt.WindowWorkers - 1)
-			src.WindowWorkers = 1 + extra
-			defer b.release(extra)
-		}
+		extra := b.tryExtra(opt.WindowWorkers - 1)
+		defer b.release(extra)
+		src.WindowWorkers = 1 + extra
 		tm.WindowWorkers = src.WindowWorkers
 		runStart := time.Now()
 		res, err = tip.RunSampled(ctx, w, src)

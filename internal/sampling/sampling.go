@@ -128,17 +128,3 @@ func isPrime(n uint64) bool {
 	}
 	return true
 }
-
-// FrequencyToInterval converts a sampling frequency to a period in cycles
-// at the given clock. This is how the paper's 4 kHz at 3.2 GHz becomes an
-// 800 000-cycle interval; scaled-down runs scale the clock.
-func FrequencyToInterval(clockHz, sampleHz uint64) uint64 {
-	if sampleHz == 0 {
-		panic("sampling: zero sample frequency")
-	}
-	iv := clockHz / sampleHz
-	if iv == 0 {
-		return 1
-	}
-	return iv
-}

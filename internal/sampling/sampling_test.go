@@ -102,20 +102,10 @@ func TestRandomAverageRateMatchesPeriod(t *testing.T) {
 	}
 }
 
-func TestFrequencyToInterval(t *testing.T) {
-	if iv := FrequencyToInterval(3_200_000_000, 4000); iv != 800_000 {
-		t.Fatalf("4 kHz at 3.2 GHz = %d cycles, want 800000", iv)
-	}
-	if iv := FrequencyToInterval(100, 1000); iv != 1 {
-		t.Fatalf("oversampled interval = %d, want clamp to 1", iv)
-	}
-}
-
 func TestZeroIntervalPanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { NewPeriodic(0) },
 		func() { NewRandom(0, 1) },
-		func() { FrequencyToInterval(100, 0) },
 	} {
 		func() {
 			defer func() {

@@ -59,17 +59,17 @@ type JobSpec struct {
 	// capture to store or reuse.
 	Sampled bool `json:"sampled,omitempty"`
 	// WindowCycles, WindowInterval, and WarmupCycles set the sampled
-	// schedule geometry (0 = evaluation-harness defaults; all three
-	// require "sampled").
+	// schedule geometry (0 = the defaults tip.RunConfig.ResolveSampled
+	// applies; all three require "sampled").
 	WindowCycles   uint64 `json:"window_cycles,omitempty"`
 	WindowInterval uint64 `json:"window_interval,omitempty"`
 	WarmupCycles   uint64 `json:"warmup_cycles,omitempty"`
 	// WarmupAuto sizes the warmup from the fast-forward leg length
 	// (tip.AutoWarmupCycles), overriding warmup_cycles.
 	WarmupAuto bool `json:"warmup_auto,omitempty"`
-	// WindowWorkers runs the sampled windows checkpoint-parallel on up to
-	// this many worker cores (clamped to [0,16]; 0 = serial schedule;
-	// results are byte-identical at any count >= 1).
+	// WindowWorkers runs the sampled windows on up to this many
+	// concurrent worker cores (clamped to [1,16]; 0 means 1; results are
+	// byte-identical at any count).
 	WindowWorkers int `json:"window_workers,omitempty"`
 	// Cores runs a multi-programmed lockstep job: workload i on core i of
 	// one shared-LLC system, profiled per core from a single core-tagged
@@ -134,31 +134,13 @@ func (sp *JobSpec) normalize() ([]profiler.Kind, profile.Granularity, error) {
 			return nil, 0, fmt.Errorf("window_workers requires sampled")
 		}
 	} else {
-		if sp.WindowWorkers < 0 {
-			sp.WindowWorkers = 0
-		}
-		if sp.WindowWorkers > 16 {
-			sp.WindowWorkers = 16
-		}
-		if sp.WindowCycles == 0 {
-			sp.WindowCycles = experiments.DefaultSampledWindow
-		}
-		if sp.WindowInterval == 0 {
-			sp.WindowInterval = experiments.DefaultSampledInterval
-		}
-		if sp.WarmupAuto {
-			sp.WarmupCycles = tip.AutoWarmupCycles(sp.WindowCycles, sp.WindowInterval)
-		} else if sp.WarmupCycles == 0 && sp.WindowCycles != sp.WindowInterval {
-			sp.WarmupCycles = experiments.DefaultSampledWarmup
-		}
+		sp.WindowWorkers = min(max(sp.WindowWorkers, 1), 16)
 		rc := tip.DefaultRunConfig()
-		rc.Sampled = true
-		rc.WindowCycles = sp.WindowCycles
-		rc.WindowInterval = sp.WindowInterval
-		rc.WarmupCycles = sp.WarmupCycles
-		if err := tip.ValidateSampled(rc); err != nil {
+		warmup := tip.WarmupSpec(sp.WarmupCycles, sp.WarmupAuto)
+		if err := rc.ResolveSampled(sp.WindowCycles, sp.WindowInterval, warmup); err != nil {
 			return nil, 0, err
 		}
+		sp.WindowCycles, sp.WindowInterval, sp.WarmupCycles = rc.WindowCycles, rc.WindowInterval, rc.WarmupCycles
 	}
 	var kinds []profiler.Kind
 	if len(sp.Profilers) > 0 {
@@ -284,7 +266,7 @@ func (s *Server) executeJob(ctx context.Context, jb *job) (*jobOutcome, error) {
 		rc.Sampled = true
 		rc.WindowCycles = spec.WindowCycles
 		rc.WindowInterval = spec.WindowInterval
-		rc.WarmupCycles = spec.WarmupCycles // normalize resolved warmup_auto
+		rc.WarmupCycles = spec.WarmupCycles // normalize resolved the geometry
 		rc.WindowWorkers = spec.WindowWorkers
 		start := time.Now()
 		res, err := tip.RunSampled(ctx, w, rc)
@@ -444,8 +426,7 @@ type SamplingView struct {
 	DetailedFraction float64 `json:"detailed_fraction"`
 	FFInstructions   uint64  `json:"ff_instructions"`
 	// WindowWorkers, SweepSeconds and MeasureSeconds describe the
-	// checkpoint-parallel schedule when it ran (window_workers 0 = the
-	// serial path; the wall-clock split is then omitted).
+	// schedule's worker pool and its wall-clock split.
 	WindowWorkers  int     `json:"window_workers,omitempty"`
 	SweepSeconds   float64 `json:"sweep_seconds,omitempty"`
 	MeasureSeconds float64 `json:"measure_seconds,omitempty"`
@@ -481,10 +462,10 @@ type ResultView struct {
 
 // JobView is the wire representation of a job.
 type JobView struct {
-	ID       string      `json:"id"`
-	State    string      `json:"state"`
-	Spec     JobSpec     `json:"spec"`
-	Error    string      `json:"error,omitempty"`
+	ID       string     `json:"id"`
+	State    string     `json:"state"`
+	Spec     JobSpec    `json:"spec"`
+	Error    string     `json:"error,omitempty"`
 	Created  time.Time  `json:"created"`
 	Started  *time.Time `json:"started,omitempty"`
 	Finished *time.Time `json:"finished,omitempty"`

@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"strconv"
 
-	"github.com/tipprof/tip/internal/cpu"
-	"github.com/tipprof/tip/internal/program"
 	"github.com/tipprof/tip/internal/trace"
-	"github.com/tipprof/tip/internal/xrand"
 )
 
 // SampledRunStats describes one sampled run's schedule: how much of the
@@ -35,8 +33,9 @@ type SampledRunStats struct {
 	// (no timing) between windows.
 	FFInstructions uint64
 	// FFRepresentedCycles is the estimated cycle cost of the
-	// fast-forwarded instructions, each leg priced at its preceding
-	// window's cycles-per-instruction.
+	// fast-forwarded instructions, each leg priced at the mean
+	// cycles-per-instruction of the two windows that bracket it (see
+	// stitcher).
 	FFRepresentedCycles uint64
 	// WarmupRepresentedCycles is the estimated cycle cost of the
 	// instructions that committed during warmup prefixes, priced like the
@@ -50,17 +49,17 @@ type SampledRunStats struct {
 	// reports the same number.
 	EstimatedCycles uint64
 
-	// WindowWorkers is the worker count the checkpoint-parallel scheduler
-	// ran with; 0 means the serial single-core schedule.
+	// WindowWorkers is the number of worker cores that ran the detailed
+	// legs (at least 1).
 	WindowWorkers int
-	// SweepSeconds is the functional sweep's wall-clock in the parallel
-	// mode (0 on the serial path). Wall-clock fields are the only
-	// non-deterministic members of this struct; identity tests zero them
-	// before comparing.
+	// SweepSeconds is the functional sweep's wall-clock (0 when the run
+	// ended inside window 0, leaving nothing to sweep). Wall-clock fields
+	// are the only non-deterministic members of this struct; identity
+	// tests zero them before comparing.
 	SweepSeconds float64
 	// MeasureSeconds sums the detailed warmup+window simulation time
-	// across window 0 and every worker leg (parallel mode; exceeds the
-	// run's wall-clock when legs overlap).
+	// across window 0 and every worker leg (exceeds the run's wall-clock
+	// when legs run concurrently).
 	MeasureSeconds float64
 }
 
@@ -73,9 +72,73 @@ func (s *SampledRunStats) DetailedFraction() float64 {
 	return float64(s.DetailedCycles) / float64(s.EstimatedCycles)
 }
 
-// ValidateSampled checks rc's sampled-simulation window geometry. It is the
-// single validation authority: RunSampled applies it, and the CLI tools call
-// it before spending any simulation time.
+// Default sampled-schedule geometry: 8K-cycle measurement windows, one per
+// 128K cycles (a 1/16 measured fraction), each preceded by an 8K-cycle
+// detailed warmup absorbing post-fast-forward transients. Chosen
+// empirically on the suite: windows shorter than 8K cycles get noisy on
+// stall-dominated workloads (one DRAM burst dominates the window CPI),
+// warmups shorter than the window leave warm-state transients in the
+// measurement, and the 1/16 fraction is the widest that still leaves the
+// trapezoidal stitching enough windows to track phase ramps at benchmark
+// scales, landing under 2% cycle error at 4x+ effective speed.
+const (
+	DefaultSampledWindow   = 8 << 10
+	DefaultSampledInterval = 128 << 10
+	DefaultSampledWarmup   = 8 << 10
+)
+
+// ResolveSampled turns a sampled-run request into rc's window geometry,
+// sets rc.Sampled, and validates the result. It is the one place sampled
+// defaults are applied: tipsim, tipbench, tipd and the experiment harness
+// all resolve through it, so a request validated on any surface runs
+// exactly the geometry it was validated as. Zero window or interval select
+// DefaultSampledWindow and DefaultSampledInterval. warmup is "" for
+// DefaultSampledWarmup (none at full fraction, where nothing is
+// fast-forwarded), "auto" for AutoWarmupCycles, or a literal cycle count,
+// "0" included (see WarmupSpec for the numeric spelling).
+func (rc *RunConfig) ResolveSampled(window, interval uint64, warmup string) error {
+	if window == 0 {
+		window = DefaultSampledWindow
+	}
+	if interval == 0 {
+		interval = DefaultSampledInterval
+	}
+	var warm uint64
+	switch warmup {
+	case "":
+		if window != interval {
+			warm = DefaultSampledWarmup
+		}
+	case "auto":
+		warm = AutoWarmupCycles(window, interval)
+	default:
+		n, err := strconv.ParseUint(warmup, 10, 64)
+		if err != nil {
+			return fmt.Errorf("sampled: warmup must be a cycle count or \"auto\": %q", warmup)
+		}
+		warm = n
+	}
+	rc.Sampled = true
+	rc.WindowCycles, rc.WindowInterval, rc.WarmupCycles = window, interval, warm
+	return ValidateSampled(*rc)
+}
+
+// WarmupSpec spells a numeric warmup request, where zero cycles means the
+// default, as ResolveSampled's warmup argument: "auto" when auto is set, ""
+// for zero cycles, else the literal count.
+func WarmupSpec(cycles uint64, auto bool) string {
+	switch {
+	case auto:
+		return "auto"
+	case cycles == 0:
+		return ""
+	}
+	return strconv.FormatUint(cycles, 10)
+}
+
+// ValidateSampled checks rc's sampled-simulation window geometry. RunSampled
+// applies it to every run, and ResolveSampled to every request before any
+// simulation time is spent.
 func ValidateSampled(rc RunConfig) error {
 	switch {
 	case rc.WindowCycles == 0:
@@ -104,7 +167,7 @@ func mulDiv(a, b, d uint64) uint64 {
 }
 
 // sampledCancelMask mirrors the core's RunContext poll granularity: the
-// window loop checks its context every sampledCancelMask+1 core cycles.
+// detailed loops check their context every sampledCancelMask+1 core cycles.
 const sampledCancelMask = 8191
 
 // AutoWarmupCycles is the `-warmup auto` heuristic (RunConfig.WarmupAuto):
@@ -141,8 +204,6 @@ func AutoWarmupCycles(windowCycles, windowInterval uint64) uint64 {
 // they run contiguously into. A span the program ends inside is settled
 // one-sidedly at termination; a window that committed nothing cedes its side
 // of the bracket (falling back to CPI 1 only when neither side committed).
-// Both the serial and the checkpoint-parallel schedulers stitch through this
-// struct, so their estimates use identical arithmetic.
 type stitcher struct {
 	sr          *SampledRunStats
 	pendingExec uint64
@@ -195,198 +256,25 @@ func (st *stitcher) settle(curCycles, curCommitted uint64, haveCur bool) {
 	st.pendingExec, st.pendingWarm = 0, 0
 }
 
-// runSampledCore is the sampled producer: it alternates detailed
-// measurement windows (emitted to consumer on a contiguous renumbered
-// clock) with functional fast-forward legs sized by the preceding window's
-// CPI, plus an optional discarded detailed warmup prefix after each leg.
-// On success the caller must deliver Finish(sr.MeasuredCycles) itself.
-func runSampledCore(ctx context.Context, core *cpu.Core, ff *program.FastForward, rc RunConfig, consumer trace.Consumer) (CoreStats, *SampledRunStats, error) {
-	var rec trace.Record
-	sr := &SampledRunStats{}
-	coreCycle := uint64(0) // the core's own clock, warmup included
-	measured := uint64(0)  // the emitted clock, contiguous from 0
-	lastCommitCore := uint64(0)
-	lastCommitMeasured := uint64(0)
-	done := false
-
-	// A full run never emits records past its last commit (the drained
-	// machine stops the cycle loop), and two checker invariants rest on
-	// that: Finish equals last commit + 1, and the Oracle attributes
-	// exactly one cycle per record. A measurement window, though, can end
-	// mid-stall with instructions in flight that only ever commit inside
-	// the next (hidden) warmup or fast-forward leg. Hold each commit-free
-	// suffix back until a later commit proves the stream continues; a
-	// suffix still held at end of run is dropped, making the measured
-	// stream end at its last commit exactly like a full run's.
-	jitter := xrand.New(rc.SamplingSeed ^ 0x5a3c9d71)
-
-	var held []trace.Record
-	emit := func(r *trace.Record) {
-		if r.CommitCount == 0 {
-			held = append(held, *r)
-			return
-		}
-		for i := range held {
-			consumer.OnCycle(&held[i])
-		}
-		held = held[:0]
-		consumer.OnCycle(r)
-	}
-
-	stepDetailed := func() (bool, error) {
-		if rc.Core.MaxCycles > 0 && coreCycle >= rc.Core.MaxCycles {
-			return false, fmt.Errorf("cpu: exceeded MaxCycles=%d (committed %d)",
-				rc.Core.MaxCycles, core.Stats().Committed)
-		}
-		if coreCycle&sampledCancelMask == 0 {
-			if err := ctx.Err(); err != nil {
-				return false, fmt.Errorf("cpu: run aborted at cycle %d: %w", coreCycle, err)
-			}
-		}
-		return core.Step(coreCycle, &rec), nil
-	}
-
-	// Unmeasured spans are priced trapezoidally by the windows that bracket
-	// them; see stitcher.
-	st := stitcher{sr: sr}
-
-	for !done {
-		// Measurement window: every cycle is emitted, renumbered onto
-		// the measured clock so downstream consumers (checker included)
-		// see one contiguous stream.
-		winStartCore := coreCycle
-		winStartCommits := core.Stats().Committed
-		for n := uint64(0); n < rc.WindowCycles; n++ {
-			d, err := stepDetailed()
-			if err != nil {
-				return core.Stats(), sr, err
-			}
-			rec.Cycle = measured
-			emit(&rec)
-			if rec.CommitCount > 0 {
-				lastCommitMeasured = measured
-				lastCommitCore = coreCycle
-			}
-			measured++
-			coreCycle++
-			if d {
-				done = true
-				break
-			}
-		}
-		sr.Windows++
-		winCycles := coreCycle - winStartCore
-		winCommitted := core.Stats().Committed - winStartCommits
-		st.settle(winCycles, winCommitted, true)
-		if done {
-			break
-		}
-		gap := rc.WindowInterval - rc.WindowCycles
-		if gap == 0 {
-			// Fraction 1: back-to-back windows degenerate to full
-			// simulation; no checkpoint, no warmup, no estimate.
-			continue
-		}
-		ffCycles := gap - rc.WarmupCycles
-		// De-phase the schedule: a strictly periodic window placement
-		// aliases against cycle-deterministic loops — the same failure
-		// mode sampling.NextPrime guards the sample interval against —
-		// repeatedly measuring the same loop phase and biasing the CPI
-		// estimate by tens of percent. A deterministic ±50% jitter on
-		// each leg keeps the mean detailed fraction on target while
-		// spreading windows across program phases.
-		ffCycles = ffCycles/2 + jitter.Uint64n(ffCycles+1)
-		// The leg skips the instructions the window's IPC says fit in
-		// ffCycles. A window that retired nothing (one long stall)
-		// falls back to IPC 1 so the run still makes progress.
-		skip := ffCycles
-		if winCommitted > 0 {
-			skip = mulDiv(ffCycles, winCommitted, winCycles)
-		}
-		if skip == 0 {
-			// The window predicts nothing would execute in the gap;
-			// keep simulating in detail rather than checkpointing
-			// for an empty leg.
-			continue
-		}
-		core.ArchCheckpoint(coreCycle)
-		exec, ffDone := core.FastForward(ff, skip)
-		sr.FFInstructions += exec
-		st.pend(exec, 0, winCycles, winCommitted)
-		if ffDone {
-			// The program ended inside the leg; the checkpoint left
-			// the pipeline empty, so there is nothing to drain.
-			break
-		}
-		core.ResumeFrom(coreCycle)
-		// Warmup prefix: simulated in detail (the core clock advances,
-		// commits count) but never emitted — the profilers' next
-		// observation is the window after it. Its cycles are likewise
-		// excluded from the cycle estimate: the pipeline restarts empty,
-		// so warmup time includes a fill ramp the uninterrupted execution
-		// never paid — charging it would overestimate by roughly a
-		// pipeline-fill per window. The instructions warmup commits are
-		// real, though, and are settled above at the price of the window
-		// they run into.
-		warmStartCommits := core.Stats().Committed
-		for n := uint64(0); n < rc.WarmupCycles && !done; n++ {
-			d, err := stepDetailed()
-			if err != nil {
-				return core.Stats(), sr, err
-			}
-			if rec.CommitCount > 0 {
-				lastCommitCore = coreCycle
-			}
-			coreCycle++
-			sr.WarmupCyclesRun++
-			done = d
-		}
-		st.pendingWarm = core.Stats().Committed - warmStartCommits
-	}
-	// A leg or warmup the program ended inside has no bracketing window on
-	// the right; settle it against the left window alone.
-	st.settle(0, 0, false)
-
-	core.FinalizeStats(lastCommitCore)
-	stats := core.Stats()
-	sr.MeasuredCycles = lastCommitMeasured + 1
-	sr.DetailedCycles = stats.Cycles
-	sr.EstimatedCycles = sr.MeasuredCycles + sr.FFRepresentedCycles + sr.WarmupRepresentedCycles
-	// The published stats describe the whole (estimated) execution, so a
-	// sampled run drops into any report a full run feeds.
-	stats.Cycles = sr.EstimatedCycles
-	stats.Committed += sr.FFInstructions
-	return stats, sr, nil
-}
-
-// RunSampled evaluates rc's profiler matrix under sampled simulation: one
-// core alternates detailed measurement windows with functional fast-forward
-// (see RunConfig.Sampled), streaming the measured windows through the same
-// bounded ring and replay shards as RunStreaming. Profilers therefore
-// observe a contiguous, renumbered trace covering roughly
-// WindowCycles/WindowInterval of the execution; Result.Stats reports the
-// stitched full-run estimate and Result.Sampling the schedule. With
-// WindowCycles == WindowInterval the run is bit-identical to RunStreaming
-// (and to the two-pass captured path) at every layer. A nil ctx means
-// context.Background().
-//
-// With WindowWorkers >= 1 (and a non-zero gap) the windows are produced by
-// the checkpoint-parallel scheduler instead (see runSampledParallel): a
-// serial functional sweep snapshots warmed state at each window's warmup
-// start and a bounded worker pool runs the detailed legs concurrently. Its
-// output is byte-identical for every WindowWorkers value >= 1; it differs
-// slightly from the serial schedule (WindowWorkers == 0), which sizes each
-// fast-forward leg from the latest window's CPI, where the parallel sweep
-// must place all checkpoints using window 0's IPC.
+// RunSampled evaluates rc's profiler matrix under sampled simulation (see
+// RunConfig.Sampled): a functional sweep fast-forwards through the program
+// and snapshots warmed state at each window's warmup start, a pool of
+// WindowWorkers cores runs the detailed warmup+window legs, and a sequencer
+// streams the measured windows in schedule order through the same bounded
+// ring and replay shards as RunStreaming (see runSampledWindows).
+// Profilers therefore observe a contiguous, renumbered trace covering
+// roughly WindowCycles/WindowInterval of the execution; Result.Stats
+// reports the stitched full-run estimate and Result.Sampling the schedule.
+// The output is byte-identical for every WindowWorkers value. With
+// WindowCycles == WindowInterval window 0 runs to program end and the run
+// is bit-identical to RunStreaming (and to the two-pass captured path) at
+// every layer. A nil ctx means context.Background().
 func RunSampled(ctx context.Context, w *Workload, rc RunConfig) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	fail := func(err error) (*Result, error) {
 		return nil, fmt.Errorf("tip: %s: %w", w.Name, err)
-	}
-	if rc.WarmupAuto {
-		rc.WarmupCycles = AutoWarmupCycles(rc.WindowCycles, rc.WindowInterval)
 	}
 	if err := ValidateSampled(rc); err != nil {
 		return fail(err)
@@ -407,7 +295,6 @@ func RunSampled(ctx context.Context, w *Workload, rc RunConfig) (*Result, error)
 	}
 	s := trace.NewStream(trace.StreamConfig{PilotCycles: pilotCycles})
 
-	parallel := rc.WindowWorkers >= 1 && rc.WindowCycles < rc.WindowInterval
 	runCtx, cancelRun := context.WithCancel(ctx)
 	defer cancelRun()
 	var stats CoreStats
@@ -415,16 +302,7 @@ func RunSampled(ctx context.Context, w *Workload, rc RunConfig) (*Result, error)
 	prodDone := make(chan struct{})
 	go func() {
 		defer close(prodDone)
-		var st CoreStats
-		var sr *SampledRunStats
-		var err error
-		if parallel {
-			st, sr, err = runSampledParallel(runCtx, w, rc, s)
-		} else {
-			core := newCore(rc.Core, w)
-			ff := program.NewFastForward(w.Prog)
-			st, sr, err = runSampledCore(runCtx, core, ff, rc, s)
-		}
+		st, sr, err := runSampledWindows(runCtx, w, rc, s)
 		if err != nil {
 			s.Fail(fmt.Errorf("%s: %w", w.Name, err))
 			return

@@ -3,6 +3,7 @@ package tip
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -22,11 +23,10 @@ type winJob struct {
 	result chan winResult  // buffered (cap 1): a worker never blocks reporting
 }
 
-// sampledConvLag is the feedback pipeline depth of the parallel schedule:
-// checkpoint k's placement converts cycle budgets into instruction counts at
-// the CPI of window k-sampledConvLag, the most recent window a k-deep
-// schedule can have settled without stalling the sweep. Serial sizing uses
-// the immediately preceding window (lag 1); a fixed lag keeps up to
+// sampledConvLag is the feedback pipeline depth of the schedule: checkpoint
+// k's placement converts cycle budgets into instruction counts at the CPI
+// of window k-sampledConvLag, the most recent window a k-deep schedule can
+// have settled without stalling the sweep. A fixed lag keeps up to
 // sampledConvLag detailed legs in flight — the concurrency ceiling — while
 // still tracking program phase changes, and because the lag is a constant
 // (never derived from WindowWorkers) the schedule is byte-identical for
@@ -39,8 +39,8 @@ const sampledConvLag = 6
 
 // convTrack carries settled window CPIs from the sequencer back to the
 // sweep. Entry i is window i's pricing pair (cycles, commits); a window that
-// committed nothing carries the previous entry forward, mirroring the serial
-// schedule's IPC-1 fallback chain. ratioFor blocks until the entry the lag
+// committed nothing carries the previous entry forward, so only window 0 can
+// leave placement at the IPC-1 fallback. ratioFor blocks until the entry the lag
 // allows exists, which is what bounds how far the sweep can run ahead.
 type convTrack struct {
 	mu     sync.Mutex
@@ -115,37 +115,37 @@ type winResult struct {
 	err        error
 }
 
-// runSampledParallel is the checkpoint-parallel sampled producer
-// (RunConfig.WindowWorkers >= 1): where runSampledCore interleaves windows and
-// fast-forward legs on one core, this scheduler separates them so the
-// detailed legs — the expensive part — run concurrently.
+// runSampledWindows is the sampled producer. It separates a SMARTS schedule's
+// two halves so the detailed legs — the expensive part — can run
+// concurrently with the fast-forward that places them.
 //
-// Window 0 runs inline first, on a fresh core from cycle 0, exactly as the
-// serial producer would run it; its committed count and cycle length give the
-// IPC that converts cycle budgets into instruction positions. A single
-// functional sweep then walks the whole program once (cache/TLB/predictor
-// warming on, timing off), and at each window's warmup start snapshots a
-// Checkpoint plus an interpreter clone. A pool of WindowWorkers workers
+// Window 0 runs inline first, on a fresh core from cycle 0; its committed
+// count and cycle length give the IPC that converts the first cycle budgets
+// into instruction positions. At full fraction (WindowCycles ==
+// WindowInterval) there is no gap to sweep, so window 0 runs to program end
+// and the run is a full simulation. Otherwise a single functional sweep
+// walks the whole program once (cache/TLB/predictor warming on, timing
+// off), and at each window's warmup start snapshots a Checkpoint plus an
+// interpreter clone. A pool of WindowWorkers workers (at least one)
 // restores each checkpoint onto a private core and runs the warmup+window
 // detailed leg at leg-local cycle 0; the sequencer re-emits the windows'
-// records in schedule order on the contiguous measured clock, so downstream
-// consumers see the same kind of stream the serial producer feeds them.
+// records in schedule order on the contiguous measured clock.
+//
+// Placement: the sweep runs ahead of the detailed legs, so window k's
+// placement uses the CPI of window k-sampledConvLag (see convTrack), and
+// stitching prices the unmeasured spans trapezoidally (see stitcher).
+// Because placement extrapolates a lagged CPI, a checkpoint can land before
+// the previous leg's committed end; the sequencer then counts every
+// instruction exactly once (see the overlap rule in the sequencer loop), so
+// Stats.Committed always equals the full run's.
 //
 // Determinism: checkpoint positions derive only from (window 0, jitter seed);
 // each leg's output depends only on (checkpoint, interpreter position, window
 // number) — Restore gives the core a per-window identity (FID base, handler
 // seed) and a zero-cycle clock — and the sequencer consumes results in
 // schedule order regardless of which worker finished first. The output is
-// therefore byte-identical for every WindowWorkers value >= 1.
-//
-// The estimate this scheduler produces is deliberately a different estimator
-// from the serial one: serial sizes each fast-forward leg from the
-// immediately preceding window's CPI, while the sweep must place checkpoints
-// ahead of the detailed legs, so window k's placement uses the CPI of window
-// k-sampledConvLag — the same feedback loop, delayed by the pipeline depth
-// that keeps the workers busy (see convTrack). Stitching (trapezoidal
-// pricing of unmeasured spans) reuses the serial stitcher unchanged.
-func runSampledParallel(ctx context.Context, w *Workload, rc RunConfig, consumer trace.Consumer) (CoreStats, *SampledRunStats, error) {
+// therefore byte-identical for every WindowWorkers value.
+func runSampledWindows(ctx context.Context, w *Workload, rc RunConfig, consumer trace.Consumer) (CoreStats, *SampledRunStats, error) {
 	workers := rc.WindowWorkers
 	if workers < 1 {
 		workers = 1
@@ -157,8 +157,15 @@ func runSampledParallel(ctx context.Context, w *Workload, rc RunConfig, consumer
 	lastCommitMeasured := uint64(0)
 	lastCommitDetailed := uint64(0)
 
-	// Commit-free suffix holdback, identical to the serial producer's: the
-	// measured stream must end at its last commit like a full run's does.
+	// A full run never emits records past its last commit (the drained
+	// machine stops the cycle loop), and two checker invariants rest on
+	// that: Finish equals last commit + 1, and the Oracle attributes
+	// exactly one cycle per record. A measurement window, though, can end
+	// mid-stall with instructions in flight that only ever commit inside
+	// the next (hidden) warmup or fast-forward leg. Hold each commit-free
+	// suffix back until a later commit proves the stream continues; a
+	// suffix still held at end of run is dropped, making the measured
+	// stream end at its last commit exactly like a full run's.
 	var held []trace.Record
 	emit := func(r *trace.Record) {
 		if r.CommitCount == 0 {
@@ -172,12 +179,17 @@ func runSampledParallel(ctx context.Context, w *Workload, rc RunConfig, consumer
 		consumer.OnCycle(r)
 	}
 
-	// --- Window 0: inline on a fresh core, byte-for-byte the serial
-	// producer's first window (same FIDs, same handler seed, same clock).
+	// --- Window 0: inline on a fresh core, exactly the start of a full run
+	// (same FIDs, same handler seed, same clock). At full fraction it is
+	// the whole run.
 	w0Start := time.Now()
 	w0core := newCore(rc.Core, w)
+	w0Len := rc.WindowCycles
+	if rc.WindowCycles == rc.WindowInterval {
+		w0Len = math.MaxUint64
+	}
 	done := false
-	for n := uint64(0); n < rc.WindowCycles; n++ {
+	for n := uint64(0); n < w0Len; n++ {
 		if rc.Core.MaxCycles > 0 && vd >= rc.Core.MaxCycles {
 			return w0core.Stats(), sr, fmt.Errorf("cpu: exceeded MaxCycles=%d (committed %d)",
 				rc.Core.MaxCycles, w0core.Stats().Committed)
@@ -220,7 +232,7 @@ func runSampledParallel(ctx context.Context, w *Workload, rc RunConfig, consumer
 		return finalize()
 	}
 
-	gap := rc.WindowInterval - rc.WindowCycles // > 0: the caller gates on it
+	gap := rc.WindowInterval - rc.WindowCycles // > 0: full fraction ended above
 	ffBase := gap - rc.WarmupCycles
 	track := newConvTrack(w0Cycles, c0)
 
@@ -257,7 +269,13 @@ func runSampledParallel(ctx context.Context, w *Workload, rc RunConfig, consumer
 			score.MMU().PrefaultRange(reg.Base, reg.Size)
 		}
 		ff := program.NewFastForward(w.Prog)
-		// Same seed derivation as the serial schedule; draws happen in
+		// De-phase the schedule: a strictly periodic window placement
+		// aliases against cycle-deterministic loops — the same failure
+		// mode sampling.NextPrime guards the sample interval against —
+		// repeatedly measuring the same loop phase and biasing the CPI
+		// estimate by tens of percent. A deterministic ±50% jitter on
+		// each leg keeps the mean detailed fraction on target while
+		// spreading windows across program phases. Draws happen in
 		// schedule order, so positions are independent of worker count.
 		jitter := xrand.New(rc.SamplingSeed ^ 0x5a3c9d71)
 		pos := uint64(0)
@@ -269,8 +287,8 @@ func runSampledParallel(ctx context.Context, w *Workload, rc RunConfig, consumer
 				return
 			}
 			// conv turns a cycle budget into instructions at the feedback
-			// window's IPC (IPC 1 when it committed nothing — same
-			// fallback as the serial skip sizing).
+			// window's IPC (IPC 1 when it committed nothing, so the run
+			// still makes progress).
 			conv := func(cycles uint64) uint64 {
 				if com == 0 {
 					return cycles
@@ -393,27 +411,47 @@ func runSampledParallel(ctx context.Context, w *Workload, rc RunConfig, consumer
 				rc.Core.MaxCycles, stats.Committed))
 			continue
 		}
-		// The unmeasured span between the previous window's committed end
-		// and this checkpoint was covered functionally; price it plus this
-		// leg's warmup commits against the bracketing windows.
-		var leftover uint64
+		// The leg re-executes instructions [job.pos, end). The span
+		// between the previous leg's committed end and this checkpoint was
+		// covered functionally; price it plus this leg's warmup commits
+		// against the bracketing windows. Placement extrapolates a lagged
+		// CPI, though, so the checkpoint can also land before prevEnd: the
+		// leg's first dup commits then repeat detailed coverage already
+		// counted. Count each instruction once — repeats are dropped from
+		// Stats.Committed and warmup pricing, and the window's leading
+		// cycles are hidden like warmup while the commit they lead up to
+		// is a repeat (winDup, which may exceed the window's commits).
+		end := job.pos + res.warmCom + res.winCom
+		var leftover, dup, winDup uint64
 		if job.pos > prevEnd {
 			leftover = job.pos - prevEnd
+		} else {
+			dup = min(prevEnd, end) - job.pos
 		}
+		if winStart := job.pos + res.warmCom; prevEnd > winStart {
+			winDup = prevEnd - winStart
+		}
+		hide, hideCom := 0, uint64(0)
+		for hide < len(res.recs) && hideCom < winDup &&
+			hideCom+uint64(res.recs[hide].CommitCount) <= winDup {
+			hideCom += uint64(res.recs[hide].CommitCount)
+			hide++
+		}
+		winSteps, winCom := res.winSteps-uint64(hide), res.winCom-hideCom
 		sr.FFInstructions += leftover
-		st.pend(leftover, res.warmCom, st.prevCycles, st.prevCommits)
-		st.settle(res.winSteps, res.winCom, true)
-		track.publish(res.winSteps, res.winCom)
-		if res.winSteps > 0 {
+		st.pend(leftover, res.warmCom-min(dup, res.warmCom), st.prevCycles, st.prevCommits)
+		st.settle(winSteps, winCom, true)
+		track.publish(winSteps, winCom)
+		if winSteps > 0 {
 			sr.Windows++
-			st.prevCycles, st.prevCommits = res.winSteps, res.winCom
+			st.prevCycles, st.prevCommits = winSteps, winCom
 		}
-		sr.WarmupCyclesRun += res.warmSteps
+		sr.WarmupCyclesRun += res.warmSteps + uint64(hide)
 		sr.MeasureSeconds += res.seconds
 		if res.lastCommit >= 0 {
 			lastCommitDetailed = legStart + uint64(res.lastCommit)
 		}
-		for i := range res.recs {
+		for i := hide; i < len(res.recs); i++ {
 			r := &res.recs[i]
 			r.Cycle = measured
 			emit(r)
@@ -423,7 +461,8 @@ func runSampledParallel(ctx context.Context, w *Workload, rc RunConfig, consumer
 			measured++
 		}
 		addLegStats(&stats, &res.stats)
-		prevEnd = job.pos + res.warmCom + res.winCom
+		stats.Committed -= dup
+		prevEnd = max(prevEnd, end)
 		select {
 		case bufPool <- res.recs[:0]:
 		default:

@@ -77,11 +77,10 @@ func TestRunSampledWindowWorkersIdentity(t *testing.T) {
 	}
 }
 
-// TestRunSampledParallelConvergence bounds the parallel estimator's accuracy:
-// its stitched cycle estimate must stay close to the full run's, and detailed
-// commits plus fast-forwarded instructions must cover the whole program
-// (over-coverage only — a window that overruns its slot double-counts a few
-// instructions; it can never lose any).
+// TestRunSampledParallelConvergence bounds the estimator's accuracy: its
+// stitched cycle estimate must stay close to the full run's, and detailed
+// commits plus fast-forwarded instructions must count the whole program
+// exactly once.
 func TestRunSampledParallelConvergence(t *testing.T) {
 	w, err := workload.LoadScaled("imagick", 1, 100_000)
 	if err != nil {
@@ -109,23 +108,18 @@ func TestRunSampledParallelConvergence(t *testing.T) {
 		t.Fatalf("parallel estimate off by %.1f%% (est %d, full %d)",
 			100*cpiErr, res.Stats.Cycles, full.Cycles)
 	}
-	if res.Stats.Committed < full.Committed {
-		t.Fatalf("committed %d lost instructions vs full run's %d",
-			res.Stats.Committed, full.Committed)
-	}
-	if absFrac(res.Stats.Committed, full.Committed) > 0.02 {
-		t.Fatalf("committed %d over-counts full run's %d by more than 2%%",
-			res.Stats.Committed, full.Committed)
+	if res.Stats.Committed != full.Committed {
+		t.Fatalf("committed %d (detailed+ff), full run %d", res.Stats.Committed, full.Committed)
 	}
 	if res.Sampling.Windows < 2 {
 		t.Fatalf("only %d windows ran; geometry too lax to exercise the sweep", res.Sampling.Windows)
 	}
 }
 
-// TestRunSampledParallelFullFractionServesSerial pins the mode select:
-// window == interval has no gap to sweep, so even with WindowWorkers set the
-// run must take the serial path — whose full-fraction output is bit-identical
-// to RunStreaming — and report WindowWorkers 0.
+// TestRunSampledParallelFullFractionServesSerial pins the full-fraction
+// path with workers requested: window == interval has no gap to sweep, so
+// window 0 runs to program end and the output is bit-identical to
+// RunStreaming.
 func TestRunSampledParallelFullFractionServesSerial(t *testing.T) {
 	w, err := workload.LoadScaled("imagick", 1, 60_000)
 	if err != nil {
@@ -146,13 +140,50 @@ func TestRunSampledParallelFullFractionServesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Sampling.WindowWorkers != 0 {
-		t.Fatalf("full-fraction run reports %d window workers, want the serial path (0)",
-			got.Sampling.WindowWorkers)
-	}
 	assertResultsIdentical(t, "full fraction with workers", stream, got)
 	if got.Stats != stream.Stats {
 		t.Fatalf("stats %+v, want %+v", got.Stats, stream.Stats)
+	}
+}
+
+// TestRunSampledConservesOverlappedLegs pins the sequencer's overlap rule.
+// At this geometry the lagged placement puts two checkpoints before the
+// previous leg's committed end (571 and 1,052 instructions early), so the
+// legs re-execute instructions already measured; each must still be counted
+// exactly once, at every worker count, with the checker on.
+func TestRunSampledConservesOverlappedLegs(t *testing.T) {
+	w, err := workload.LoadScaled("imagick", 1, 100_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := MeasureStats(w, DefaultCoreConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref *Result
+	for _, workers := range []int{1, 4} {
+		rc := DefaultRunConfig()
+		rc.Sampled = true
+		rc.Check = true
+		rc.WindowCycles = 4096
+		rc.WindowInterval = 8192
+		rc.WarmupCycles = 1024
+		rc.WindowWorkers = workers
+		res, err := RunSampled(context.Background(), w, rc)
+		if err != nil {
+			t.Fatalf("windowworkers=%d: %v", workers, err)
+		}
+		if res.Stats.Committed != full.Committed {
+			t.Fatalf("windowworkers=%d: committed %d (detailed+ff), full run %d",
+				workers, res.Stats.Committed, full.Committed)
+		}
+		if ref == nil {
+			ref = res
+			continue
+		}
+		if res.Stats != ref.Stats {
+			t.Fatalf("windowworkers=%d: stats %+v, want %+v", workers, res.Stats, ref.Stats)
+		}
 	}
 }
 

@@ -11,7 +11,8 @@
 //
 // Quick start:
 //
-//	res, err := tip.RunBenchmark("imagick", tip.DefaultRunConfig())
+//	w, err := tip.LoadWorkload("imagick", 1)
+//	res, err := tip.Run(w, tip.DefaultRunConfig())
 //	fmt.Println(res.Err(tip.KindNCI, tip.GranInstruction))  // NCI's error
 //	fmt.Println(res.Err(tip.KindTIP, tip.GranInstruction))  // TIP's error
 package tip
@@ -172,9 +173,11 @@ type RunConfig struct {
 	// no timing) and an optional WarmupCycles detailed prefix whose
 	// observations are discarded. Profilers see only the measurement
 	// windows, renumbered onto a contiguous clock; Result.Stats.Cycles
-	// becomes an estimate built by weighting each fast-forward leg with
-	// its preceding window's CPI (see RunSampled). Composes with the
-	// streaming pipeline; implies Streaming-style fused execution.
+	// becomes an estimate built by pricing each fast-forward leg at the
+	// mean CPI of the two windows that bracket it, and Stats.Committed
+	// counts every instruction exactly once (see RunSampled). Composes
+	// with the streaming pipeline; implies Streaming-style fused
+	// execution. RunConfig.ResolveSampled fills the default geometry.
 	Sampled bool
 	// WindowCycles is the length of each detailed measurement window in
 	// cycles. Required (non-zero) when Sampled is set.
@@ -193,22 +196,13 @@ type RunConfig struct {
 	// WarmupCycles must fit in WindowInterval (unless the two are equal,
 	// in which case no fast-forward ever happens and warmup is ignored).
 	WarmupCycles uint64
-	// WarmupAuto derives WarmupCycles from the fast-forward leg length
-	// instead of taking it literally: RunSampled resolves it to
-	// AutoWarmupCycles(WindowCycles, WindowInterval) before validation.
-	// Long fast-forward legs evict more warm state than the small-scale
-	// default warmup can rebuild (BENCH_6's sensitivity sweep under-warms
-	// 100M-cycle runs), so warmup should grow with the gap it follows.
-	WarmupAuto bool
-	// WindowWorkers selects checkpoint-parallel sampled simulation: a
-	// serial functional sweep snapshots the warmed state at each window's
-	// warmup start, and up to WindowWorkers worker cores run the detailed
-	// warmup+window legs concurrently, re-sequenced in schedule order.
-	// Output is byte-identical for every value >= 1 (the sweep, not
-	// execution order, defines each window's start state); 0 keeps the
-	// serial single-core schedule, whose estimate differs slightly (it
-	// sizes each leg from the latest window's CPI, the parallel sweep from
-	// window 0's). Ignored unless Sampled.
+	// WindowWorkers is the number of worker cores that run a sampled
+	// run's detailed warmup+window legs concurrently, behind one
+	// functional sweep that snapshots the warmed state at each window's
+	// warmup start; a sequencer re-emits the windows in schedule order.
+	// Values below 1 mean 1. Output is byte-identical for every value
+	// (the sweep, not execution order, defines each window's start
+	// state). Ignored unless Sampled.
 	WindowWorkers int
 }
 
@@ -513,15 +507,6 @@ func Run(w *Workload, rc RunConfig) (*Result, error) {
 		Sampled:        m.byKind,
 		SampleInterval: rc.SampleInterval,
 	}, nil
-}
-
-// RunBenchmark loads and runs a named benchmark with seed 1.
-func RunBenchmark(name string, rc RunConfig) (*Result, error) {
-	w, err := workload.Load(name, 1)
-	if err != nil {
-		return nil, err
-	}
-	return Run(w, rc)
 }
 
 // MeasureStats runs w unprofiled and returns the core statistics (used by
