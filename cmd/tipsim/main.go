@@ -24,6 +24,7 @@ import (
 	tip "github.com/tipprof/tip"
 	"github.com/tipprof/tip/internal/perfdata"
 	"github.com/tipprof/tip/internal/sampling"
+	"github.com/tipprof/tip/internal/trace"
 	"github.com/tipprof/tip/internal/workload"
 )
 
@@ -121,42 +122,22 @@ func main() {
 
 	var recFile *os.File
 	var recWriter *perfdata.Writer
-	var res *tip.Result
 	if *record != "" {
-		if *streaming {
-			// The raw-sample collector needs the concrete interval before
-			// the run starts; streaming only knows it after the pilot
-			// window, so recording stays on the capture-then-replay path.
-			fatal(fmt.Errorf("-record is incompatible with -streaming"))
-		}
 		f, err := os.Create(*record)
 		if err != nil {
 			fatal(err)
 		}
 		recFile = f
 		recWriter = perfdata.NewWriter(f)
-		// The collector needs the concrete interval before the profiled
-		// pass starts. Capture the trace once, calibrate from the
-		// measured cycle count, and replay the capture through the
-		// profilers and collector — one simulation instead of two.
-		capture, stats, err := tip.CaptureWorkload(w, rc.Core)
-		if err != nil {
-			fatal(err)
+		// The collector samples at the run's calibrated interval, so it
+		// joins the matrix once calibration has fixed it.
+		rc.ExtraConsumersAt = func(interval, _ uint64) []trace.Consumer {
+			return []trace.Consumer{perfdata.NewCollector(recWriter, sampling.NewPeriodic(interval), 0, 1, 1)}
 		}
-		defer capture.Close()
-		rc.SampleInterval = tip.CalibrateInterval(stats.Cycles, *samples)
-		rc.ExtraConsumers = append(rc.ExtraConsumers,
-			perfdata.NewCollector(recWriter, sampling.NewPeriodic(rc.SampleInterval), 0, 1, 1))
-		res, err = tip.RunCaptured(context.Background(), w, capture, stats, rc)
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		var err error
-		res, err = tip.Run(w, rc)
-		if err != nil {
-			fatal(err)
-		}
+	}
+	res, err := tip.Run(w, rc)
+	if err != nil {
+		fatal(err)
 	}
 	if recWriter != nil {
 		if recWriter.Err() != nil {

@@ -65,27 +65,6 @@ type Options struct {
 	// PilotCycles overrides the streaming calibration window
 	// (0 = tip.DefaultPilotCycles). Ignored unless Streaming.
 	PilotCycles uint64
-	// Sampled evaluates each benchmark under sampled simulation instead of
-	// a full capture: the profiler matrix observes only the measurement
-	// windows and the reported cycle total is the stitched estimate.
-	// Mutually exclusive with Streaming.
-	Sampled bool
-	// WindowCycles, WindowInterval, WarmupCycles request the sampled
-	// schedule geometry (0 = the defaults tip.RunConfig.ResolveSampled
-	// applies); WarmupAuto sizes the warmup from the fast-forward leg
-	// length instead. Ignored unless Sampled.
-	WindowCycles   uint64
-	WindowInterval uint64
-	WarmupCycles   uint64
-	WarmupAuto     bool
-	// WindowWorkers asks each sampled run to execute its detailed windows
-	// checkpoint-parallel on up to this many worker cores. Like
-	// ReplayWorkers, workers beyond the first only materialize when the
-	// shared Parallelism budget has idle slots, so suite-level and
-	// window-level parallelism never oversubscribe the host; the first
-	// worker is the evaluation's own held slot, so values below 1 mean 1.
-	// Results are byte-identical at any count. Ignored unless Sampled.
-	WindowWorkers int
 }
 
 func (o *Options) fill() {
@@ -210,10 +189,6 @@ type Timing struct {
 	// ReplayWorkers is the worker count the replay actually ran with
 	// (≤ Options.ReplayWorkers, depending on idle budget slots).
 	ReplayWorkers int
-	// WindowWorkers is the window worker count a sampled evaluation
-	// actually ran with (between 1 and Options.WindowWorkers, depending on
-	// idle budget slots; 0 when the run was not sampled).
-	WindowWorkers int
 }
 
 // EvalBenchmark runs one benchmark with the full profiler matrix.
@@ -318,80 +293,16 @@ func evalBenchmark(ctx context.Context, b *budget, name string, opt Options) (*B
 		return nil, tm, err
 	}
 
-	cfg := tip.DefaultRunConfig()
-	var res *tip.Result
-	var m *evalMatrix
-	var interval4k uint64
-
-	if opt.Sampled {
-		// Sampled path: one sampled simulation streams its measurement
-		// windows into the matrix; the cycle total is the stitched
-		// estimate. The evaluation's own held slot covers the first
-		// window worker and extra ones borrow idle budget slots (the
-		// output is byte-identical at any count).
-		src := tip.RunConfig{
-			Core:          cfg.Core,
-			Profilers:     []profiler.Kind{}, // matrix supplied by the hook
-			TargetSamples: opt.TargetSamples,
-			SamplingSeed:  cfg.SamplingSeed, // schedule jitter: match direct runs
-			ReplayWorkers: 1,
-			ExtraConsumersAt: func(interval, estCycles uint64) []trace.Consumer {
-				interval4k = interval
-				m = buildEvalMatrix(name, w, cfg.Core, opt, interval,
-					rawIntervalFor(estCycles, opt.TargetSamples))
-				return m.consumers
-			},
-		}
-		warmup := tip.WarmupSpec(opt.WarmupCycles, opt.WarmupAuto)
-		if err := src.ResolveSampled(opt.WindowCycles, opt.WindowInterval, warmup); err != nil {
-			return nil, tm, err
-		}
-		extra := b.tryExtra(opt.WindowWorkers - 1)
-		defer b.release(extra)
-		src.WindowWorkers = 1 + extra
-		tm.WindowWorkers = src.WindowWorkers
-		runStart := time.Now()
-		res, err = tip.RunSampled(ctx, w, src)
-		tm.Replay = time.Since(runStart)
-		if err != nil {
-			return nil, tm, err
-		}
-	} else if opt.Streaming {
-		// Fused path: one simulation streams straight into the matrix. The
-		// base interval is pilot-calibrated inside the run, so the matrix is
-		// assembled by the post-calibration hook; simulation and replay
-		// overlap, and the whole fused wall-clock is attributed to Replay
-		// (Capture stays 0 — there is no separate capture phase).
-		workers := 1
-		if opt.ReplayWorkers > 1 {
-			extra := b.tryExtra(opt.ReplayWorkers - 1)
-			workers += extra
-			defer b.release(extra)
-		}
-		tm.ReplayWorkers = workers
-		runStart := time.Now()
-		res, err = tip.RunStreaming(ctx, w, tip.RunConfig{
-			Core:          cfg.Core,
-			Profilers:     []profiler.Kind{}, // matrix supplied by the hook
-			TargetSamples: opt.TargetSamples,
-			PilotCycles:   opt.PilotCycles,
-			ReplayWorkers: workers,
-			ExtraConsumersAt: func(interval, estCycles uint64) []trace.Consumer {
-				interval4k = interval
-				m = buildEvalMatrix(name, w, cfg.Core, opt, interval,
-					rawIntervalFor(estCycles, opt.TargetSamples))
-				return m.consumers
-			},
-		})
-		tm.Replay = time.Since(runStart)
-		if err != nil {
-			return nil, tm, err
-		}
-	} else {
-		// The single cycle-level simulation: measure cycles for calibration
-		// while capturing the encoded trace the profiler matrix will replay.
+	core := tip.DefaultCoreConfig()
+	var capture *tip.TraceCapture
+	var stats tip.CoreStats
+	if !opt.Streaming {
+		// Two-pass: the single cycle-level simulation captures the encoded
+		// trace the profiler matrix will replay — the deterministic codec
+		// hands every consumer the byte-identical record stream the live
+		// core produced, without a second simulation.
 		capStart := time.Now()
-		capture, stats, err := tip.CaptureWorkload(w, cfg.Core)
+		capture, stats, err = tip.CaptureWorkload(w, core)
 		if err != nil {
 			return nil, tm, fmt.Errorf("experiments: capture %s: %w", name, err)
 		}
@@ -400,36 +311,48 @@ func evalBenchmark(ctx context.Context, b *budget, name string, opt Options) (*B
 		if err := ctx.Err(); err != nil {
 			return nil, tm, err
 		}
-		// Prime the interval to avoid aliasing with cycle-deterministic
-		// synthetic loops (see sampling.NextPrime).
-		interval4k = tip.CalibrateInterval(stats.Cycles, opt.TargetSamples)
-		m = buildEvalMatrix(name, w, cfg.Core, opt, interval4k,
-			rawIntervalFor(stats.Cycles, opt.TargetSamples))
+	}
 
-		// Replay the captured trace through the matrix — the deterministic
-		// codec hands every consumer the byte-identical record stream the
-		// live core produced, without a second simulation. Extra replay
-		// workers borrow idle budget slots for the duration of the replay;
-		// the worker count never changes the results, only the wall-clock.
-		workers := 1
-		if opt.ReplayWorkers > 1 {
-			extra := b.tryExtra(opt.ReplayWorkers - 1)
-			workers += extra
-			defer b.release(extra)
-		}
-		tm.ReplayWorkers = workers
-		repStart := time.Now()
-		res, err = tip.RunCaptured(ctx, w, capture, stats, tip.RunConfig{
-			Core:           cfg.Core,
-			Profilers:      []profiler.Kind{}, // matrix supplied below
-			SampleInterval: interval4k,
-			ExtraConsumers: m.consumers,
-			ReplayWorkers:  workers,
-		})
-		tm.Replay = time.Since(repStart)
-		if err != nil {
-			return nil, tm, err
-		}
+	// Extra replay workers borrow idle budget slots for the replay only;
+	// the worker count never changes the results, only the wall-clock.
+	workers := 1
+	if opt.ReplayWorkers > 1 {
+		extra := b.tryExtra(opt.ReplayWorkers - 1)
+		workers += extra
+		defer b.release(extra)
+	}
+	tm.ReplayWorkers = workers
+	// The matrix is assembled once the base interval is calibrated — from
+	// the capture's exact cycle count, or inside a streaming run from its
+	// pilot window — and is primed against aliasing with
+	// cycle-deterministic synthetic loops (see sampling.NextPrime).
+	var m *evalMatrix
+	var interval4k uint64
+	rc := tip.RunConfig{
+		Core:          core,
+		Profilers:     []profiler.Kind{}, // matrix supplied by the hook
+		TargetSamples: opt.TargetSamples,
+		PilotCycles:   opt.PilotCycles,
+		ReplayWorkers: workers,
+		ExtraConsumersAt: func(interval, estCycles uint64) []trace.Consumer {
+			interval4k = interval
+			m = buildEvalMatrix(name, w, core, opt, interval,
+				rawIntervalFor(estCycles, opt.TargetSamples))
+			return m.consumers
+		},
+	}
+	var res *tip.Result
+	runStart := time.Now()
+	if opt.Streaming {
+		// Simulation and replay overlap, so the whole fused wall-clock is
+		// attributed to Replay (Capture stays 0).
+		res, err = tip.RunStreaming(ctx, w, rc)
+	} else {
+		res, err = tip.RunCaptured(ctx, w, capture, stats, rc)
+	}
+	tm.Replay = time.Since(runStart)
+	if err != nil {
+		return nil, tm, err
 	}
 	if m.checker != nil {
 		// Audits are evaluated lazily by Err, so the Oracle built inside
@@ -501,9 +424,6 @@ type SuiteTiming struct {
 	// MaxReplayWorkers is the largest worker count any benchmark's replay
 	// actually ran with.
 	MaxReplayWorkers int
-	// MaxWindowWorkers is the largest checkpoint-parallel worker count any
-	// sampled evaluation actually ran with (0 for non-sampled suites).
-	MaxWindowWorkers int
 }
 
 // EvalSuite evaluates the selected benchmarks, in parallel when the host
@@ -566,9 +486,6 @@ func EvalSuiteTimed(ctx context.Context, opt Options) ([]*BenchmarkEval, SuiteTi
 		st.Replay += tm.Replay
 		if tm.ReplayWorkers > st.MaxReplayWorkers {
 			st.MaxReplayWorkers = tm.ReplayWorkers
-		}
-		if tm.WindowWorkers > st.MaxWindowWorkers {
-			st.MaxWindowWorkers = tm.WindowWorkers
 		}
 	}
 	// Prefer the root cause: an evaluation cancelled because a sibling

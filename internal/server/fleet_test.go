@@ -11,12 +11,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	tip "github.com/tipprof/tip"
 	"github.com/tipprof/tip/internal/cpu"
 	"github.com/tipprof/tip/internal/fleet"
 )
@@ -90,18 +92,11 @@ func TestStoreServesWarmAcrossNodes(t *testing.T) {
 			sA.met.simulationCount(), sB.met.simulationCount())
 	}
 
-	// Warm profiles are bit-identical from any node. (Node A's first
-	// answer came from the fused pilot-calibrated run, so compare a warm
-	// rerun on A — exact calibration, like B's replay — against B.)
-	vA2, _ := submit(t, tsA, testSpec())
-	doneA2 := waitTerminal(t, tsA, vA2.ID)
-	if doneA2.State != stateDone || doneA2.CaptureSource != "cache" {
-		t.Fatalf("A rerun: state=%s source=%q", doneA2.State, doneA2.CaptureSource)
-	}
-	pA := fetchPprof(t, tsA, vA2.ID)
+	// Node A's cold answer and B's store replay are bit-identical.
+	pA := fetchPprof(t, tsA, vA.ID)
 	pB := fetchPprof(t, tsB, vB.ID)
 	if !bytes.Equal(pA, pB) {
-		t.Fatalf("warm pprof differs across nodes: %d vs %d bytes", len(pA), len(pB))
+		t.Fatalf("pprof differs across nodes: %d vs %d bytes", len(pA), len(pB))
 	}
 
 	// Both nodes expose the store traffic in /metrics.
@@ -114,6 +109,61 @@ func TestStoreServesWarmAcrossNodes(t *testing.T) {
 	for _, want := range []string{"tipd_store_hits_total 1\n", "tipd_simulations_total 0\n"} {
 		if !strings.Contains(string(prom), want) {
 			t.Fatalf("B /metrics missing %q:\n%s", want, prom)
+		}
+	}
+}
+
+// TestColdJobMatchesWarm pins that a profile is a function of the request,
+// not of cache state: a cold job (simulated on node A), a warm rerun on A
+// (local cache), and node B's store replay of the same spec return the same
+// pprof bytes, sample interval and errors. The spec's run outlasts the
+// streaming pilot window, so a cold job calibrated from a pilot estimate
+// instead of the capture's exact cycle count would pick another interval.
+func TestColdJobMatchesWarm(t *testing.T) {
+	storeDir := t.TempDir()
+	stA, err := fleet.OpenStore(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stB, err := fleet.OpenStore(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, tsA := newTestServer(t, Config{Workers: 1, Store: stA})
+	_, tsB := newTestServer(t, Config{Workers: 1, Store: stB})
+
+	spec := testSpec()
+	spec.Bench, spec.Scale = "mcf", 50_000
+	run := func(ts *httptest.Server, wantSource string) (JobView, []byte) {
+		t.Helper()
+		v, code := submit(t, ts, spec)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit: status %d", code)
+		}
+		v = waitTerminal(t, ts, v.ID)
+		if v.State != stateDone || v.CaptureSource != wantSource || v.Result == nil {
+			t.Fatalf("job: state=%s source=%q (%s), want done/%s", v.State, v.CaptureSource, v.Error, wantSource)
+		}
+		return v, fetchPprof(t, ts, v.ID)
+	}
+	cold, pCold := run(tsA, sourceSimulated)
+	if cold.Result.Cycles <= tip.DefaultPilotCycles {
+		t.Fatalf("spec runs %d cycles, inside the %d-cycle pilot window: it cannot tell pilot from exact calibration",
+			cold.Result.Cycles, uint64(tip.DefaultPilotCycles))
+	}
+	for _, tc := range []struct {
+		ts     *httptest.Server
+		source string
+	}{{tsA, sourceCache}, {tsB, sourceStore}} {
+		warm, pWarm := run(tc.ts, tc.source)
+		if warm.Result.SampleInterval != cold.Result.SampleInterval {
+			t.Errorf("%s: sample interval %d, cold job %d", tc.source, warm.Result.SampleInterval, cold.Result.SampleInterval)
+		}
+		if !reflect.DeepEqual(warm.Result.Errors, cold.Result.Errors) {
+			t.Errorf("%s: errors %v, cold job %v", tc.source, warm.Result.Errors, cold.Result.Errors)
+		}
+		if !bytes.Equal(pWarm, pCold) {
+			t.Errorf("%s: pprof differs from the cold job's: %d vs %d bytes", tc.source, len(pWarm), len(pCold))
 		}
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -58,12 +59,14 @@ type JobSpec struct {
 	// cache — fast-forward legs emit no trace records, so there is no full
 	// capture to store or reuse.
 	Sampled bool `json:"sampled,omitempty"`
-	// WindowCycles, WindowInterval, and WarmupCycles set the sampled
-	// schedule geometry (0 = the defaults tip.RunConfig.ResolveSampled
-	// applies; all three require "sampled").
-	WindowCycles   uint64 `json:"window_cycles,omitempty"`
-	WindowInterval uint64 `json:"window_interval,omitempty"`
-	WarmupCycles   uint64 `json:"warmup_cycles,omitempty"`
+	// WindowCycles and WindowInterval set the sampled schedule geometry
+	// (0 = the defaults tip.RunConfig.ResolveSampled applies). WarmupCycles
+	// is the detailed warmup before each window: absent selects the
+	// default, and an explicit 0 means no warmup. All three require
+	// "sampled"; the normalized spec echoes the resolved geometry.
+	WindowCycles   uint64  `json:"window_cycles,omitempty"`
+	WindowInterval uint64  `json:"window_interval,omitempty"`
+	WarmupCycles   *uint64 `json:"warmup_cycles,omitempty"`
 	// WarmupAuto sizes the warmup from the fast-forward leg length
 	// (tip.AutoWarmupCycles), overriding warmup_cycles.
 	WarmupAuto bool `json:"warmup_auto,omitempty"`
@@ -126,7 +129,7 @@ func (sp *JobSpec) normalize() ([]profiler.Kind, profile.Granularity, error) {
 			return nil, 0, fmt.Errorf("window_cycles requires sampled")
 		case sp.WindowInterval != 0:
 			return nil, 0, fmt.Errorf("window_interval requires sampled")
-		case sp.WarmupCycles != 0:
+		case sp.WarmupCycles != nil:
 			return nil, 0, fmt.Errorf("warmup_cycles requires sampled")
 		case sp.WarmupAuto:
 			return nil, 0, fmt.Errorf("warmup_auto requires sampled")
@@ -135,12 +138,18 @@ func (sp *JobSpec) normalize() ([]profiler.Kind, profile.Granularity, error) {
 		}
 	} else {
 		sp.WindowWorkers = min(max(sp.WindowWorkers, 1), 16)
+		warmup := ""
+		switch {
+		case sp.WarmupAuto:
+			warmup = "auto"
+		case sp.WarmupCycles != nil:
+			warmup = strconv.FormatUint(*sp.WarmupCycles, 10)
+		}
 		rc := tip.DefaultRunConfig()
-		warmup := tip.WarmupSpec(sp.WarmupCycles, sp.WarmupAuto)
 		if err := rc.ResolveSampled(sp.WindowCycles, sp.WindowInterval, warmup); err != nil {
 			return nil, 0, err
 		}
-		sp.WindowCycles, sp.WindowInterval, sp.WarmupCycles = rc.WindowCycles, rc.WindowInterval, rc.WarmupCycles
+		sp.WindowCycles, sp.WindowInterval, sp.WarmupCycles = rc.WindowCycles, rc.WindowInterval, &rc.WarmupCycles
 	}
 	var kinds []profiler.Kind
 	if len(sp.Profilers) > 0 {
@@ -227,15 +236,13 @@ type jobOutcome struct {
 	timing   experiments.Timing
 }
 
-// executeJob is the real job runner. On a capture-cache hit the cached trace
-// is replayed through the job's profiler matrix; on a miss the whole job
-// runs fused — the cycle-level simulation streams straight into the replay
-// shards while the encoded trace is teed into the cache — so the miss costs
-// max(simulate, replay) instead of their sum. A fused miss calibrates its
-// sampling interval from the streaming pilot window, so its interval (and
-// result) can differ marginally from a later cache-hit rerun of the same
-// spec, which calibrates from the exact cycle count. Cancelling ctx aborts
-// either path.
+// executeJob is the real job runner. A sampled job runs its schedule
+// directly. Every other job takes one path: withCapture obtains the capture
+// — from the local cache, the fleet store, or a fresh simulation run by the
+// key's flight leader — and the job's profiler matrix replays it, calibrated
+// from the capture's exact cycle count. A cold job and any warm rerun of the
+// same spec therefore replay the same capture and return identical results.
+// Cancelling ctx aborts the job in any phase.
 func (s *Server) executeJob(ctx context.Context, jb *job) (*jobOutcome, error) {
 	spec := jb.spec
 	out := &jobOutcome{}
@@ -254,19 +261,18 @@ func (s *Server) executeJob(ctx context.Context, jb *job) (*jobOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	key := captureKey{Bench: spec.Bench, Seed: spec.Seed, Scale: spec.Scale, Core: s.coreHash}
 
 	if spec.Sampled {
 		// Sampled jobs skip the capture cache: the fast-forward legs emit
 		// no trace records, so there is no full capture to store, and
 		// replaying someone else's cached full trace would charge this job
-		// the full-simulation cost it asked to avoid. The whole run is
-		// fused (simulate + profile in one pass), so its wall-clock is
-		// reported as replay time like a fused miss.
+		// the full-simulation cost it asked to avoid. Simulation and
+		// profiling run fused in one pass, so the wall-clock is reported as
+		// replay time.
 		rc.Sampled = true
 		rc.WindowCycles = spec.WindowCycles
 		rc.WindowInterval = spec.WindowInterval
-		rc.WarmupCycles = spec.WarmupCycles // normalize resolved the geometry
+		rc.WarmupCycles = *spec.WarmupCycles // normalize resolved the geometry
 		rc.WindowWorkers = spec.WindowWorkers
 		start := time.Now()
 		res, err := tip.RunSampled(ctx, w, rc)
@@ -279,58 +285,25 @@ func (s *Server) executeJob(ctx context.Context, jb *job) (*jobOutcome, error) {
 		return out, nil
 	}
 
-	var fusedRes *tip.Result
-	fromStore := false
-	start := time.Now()
-	ent, hit, err := s.cache.getOrCapture(ctx, key, func(ctx context.Context) (*tip.TraceCapture, []tip.CoreStats, error) {
-		// Local miss: a warm fleet store beats re-simulating — any node's
-		// capture of this key is byte-identical to what we would produce.
-		if capt, stats, ok := s.storeGet(key); ok {
-			fromStore = true
-			return capt, stats, nil
-		}
-		res, capt, stats, err := tip.RunStreamingTee(ctx, w, rc)
-		if err != nil {
-			return nil, nil, err
-		}
-		s.met.simulationRan()
-		fusedRes = res
-		allStats := []tip.CoreStats{stats}
-		s.storePut(key, capt, allStats)
-		return capt, allStats, nil
-	})
+	key := captureKey{Bench: spec.Bench, Seed: spec.Seed, Scale: spec.Scale, Core: s.coreHash}
+	err = s.withCapture(ctx, key, out,
+		func(ctx context.Context) (*tip.TraceCapture, []tip.CoreStats, error) {
+			capt, stats, err := tip.CaptureWorkloadContext(ctx, w, rc.Core)
+			return capt, []tip.CoreStats{stats}, err
+		},
+		func(ent *cacheEntry) (err error) {
+			out.res, err = tip.RunCaptured(ctx, w, ent.capture, ent.stats[0], rc)
+			return err
+		})
 	if err != nil {
 		return nil, err
 	}
-	defer s.cache.release(ent)
-	out.cacheHit = hit
-	out.source = captureSource(hit, fromStore)
-
-	if !hit && fusedRes != nil {
-		// Fused miss: this worker was the capture leader and the streaming
-		// run already evaluated the job's matrix. Simulation and replay
-		// overlapped, so the whole wall-clock is reported as replay time.
-		out.timing.Replay = time.Since(start)
-		out.res = fusedRes
-		return out, nil
-	}
-	out.timing.Capture = time.Since(start)
-
-	repStart := time.Now()
-	res, err := tip.RunCaptured(ctx, w, ent.capture, ent.stats[0], rc)
-	out.timing.Replay = time.Since(repStart)
-	if err != nil {
-		return nil, err
-	}
-	out.res = res
 	return out, nil
 }
 
-// executeMulticoreJob runs a "cores" job: on a capture-cache miss the whole
-// core set is simulated lockstep into one core-tagged v3 capture; hit or
-// miss, the capture is then demultiplexed through per-core profiler
-// matrices. Multicore jobs have no fused streaming path — capture and replay
-// are reported as separate phases.
+// executeMulticoreJob runs a "cores" job: the whole core set is simulated
+// lockstep into one core-tagged v3 capture, which per-core profiler
+// matrices then demultiplex.
 func (s *Server) executeMulticoreJob(ctx context.Context, spec JobSpec, rc tip.RunConfig, out *jobOutcome) (*jobOutcome, error) {
 	ws := make([]*tip.Workload, len(spec.Cores))
 	for i, c := range spec.Cores {
@@ -341,6 +314,27 @@ func (s *Server) executeMulticoreJob(ctx context.Context, spec JobSpec, rc tip.R
 		ws[i] = w
 	}
 	key := captureKey{Cores: coreSetHash(spec.Cores), Core: s.coreHash}
+	err := s.withCapture(ctx, key, out,
+		func(ctx context.Context) (*tip.TraceCapture, []tip.CoreStats, error) {
+			return tip.CaptureMulticore(ctx, ws, rc.Core)
+		},
+		func(ent *cacheEntry) (err error) {
+			out.multi, err = tip.RunMulticoreCaptured(ctx, ws, ent.capture, ent.stats, rc)
+			return err
+		})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// withCapture is the skeleton every non-sampled job shares: it takes key's
+// capture from the local cache (or a concurrent flight for the same key),
+// else from the fleet store — any node's capture of a key is byte-identical
+// to what this one would produce — else runs simulate and publishes the
+// result to the store; then it hands the ref-held entry to replay. The
+// phases are timed into out.timing and the capture's origin recorded in out.
+func (s *Server) withCapture(ctx context.Context, key captureKey, out *jobOutcome, simulate captureFn, replay func(*cacheEntry) error) error {
 	fromStore := false
 	start := time.Now()
 	ent, hit, err := s.cache.getOrCapture(ctx, key, func(ctx context.Context) (*tip.TraceCapture, []tip.CoreStats, error) {
@@ -348,7 +342,7 @@ func (s *Server) executeMulticoreJob(ctx context.Context, spec JobSpec, rc tip.R
 			fromStore = true
 			return capt, stats, nil
 		}
-		capt, stats, err := tip.CaptureMulticore(ctx, ws, rc.Core)
+		capt, stats, err := simulate(ctx)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -357,7 +351,7 @@ func (s *Server) executeMulticoreJob(ctx context.Context, spec JobSpec, rc tip.R
 		return capt, stats, nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer s.cache.release(ent)
 	out.cacheHit = hit
@@ -365,13 +359,9 @@ func (s *Server) executeMulticoreJob(ctx context.Context, spec JobSpec, rc tip.R
 	out.timing.Capture = time.Since(start)
 
 	repStart := time.Now()
-	multi, err := tip.RunMulticoreCaptured(ctx, ws, ent.capture, ent.stats, rc)
+	err = replay(ent)
 	out.timing.Replay = time.Since(repStart)
-	if err != nil {
-		return nil, err
-	}
-	out.multi = multi
-	return out, nil
+	return err
 }
 
 // storeGet pulls key's capture from the shared store, if one is configured.

@@ -308,7 +308,8 @@ func TestSampledJobBypassesCache(t *testing.T) {
 	spec.Sampled = true
 	spec.WindowCycles = 2048
 	spec.WindowInterval = 8192
-	spec.WarmupCycles = 1024
+	warmup := uint64(1024)
+	spec.WarmupCycles = &warmup
 	for i := 0; i < 2; i++ {
 		v, code := submit(t, ts, spec)
 		if code != http.StatusAccepted {
@@ -347,6 +348,50 @@ func TestSampledJobBypassesCache(t *testing.T) {
 		if !strings.Contains(string(prom), want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestSampledJobZeroWarmup checks an explicit "warmup_cycles":0 runs no
+// warmup — as tipsim/tipbench -warmup 0 do — rather than the default: the
+// normalized spec echoes 0, and the stitched cycle estimate equals a direct
+// RunSampled of the same geometry with WarmupCycles 0.
+func TestSampledJobZeroWarmup(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	body := fmt.Sprintf(`{"bench":"x264","seed":1,"scale":%d,"profilers":["TIP"],"target_samples":256,`+
+		`"sampled":true,"window_cycles":4096,"window_interval":8192,"warmup_cycles":0}`, testScale)
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v JobView
+	json.NewDecoder(resp.Body).Decode(&v)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d", resp.StatusCode)
+	}
+	if v.Spec.WarmupCycles == nil || *v.Spec.WarmupCycles != 0 {
+		t.Fatalf("normalized warmup_cycles = %v, want an explicit 0", v.Spec.WarmupCycles)
+	}
+	v = waitTerminal(t, ts, v.ID)
+	if v.State != stateDone || v.Result == nil {
+		t.Fatalf("job finished %s (%s)", v.State, v.Error)
+	}
+
+	w, err := workload.LoadScaled("x264", 1, testScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := tip.DefaultRunConfig()
+	rc.Profilers = []tip.Kind{tip.KindTIP}
+	rc.TargetSamples = 256
+	rc.Sampled = true
+	rc.WindowCycles, rc.WindowInterval, rc.WarmupCycles = 4096, 8192, 0
+	res, err := tip.RunSampled(context.Background(), w, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Result.Cycles != res.Stats.Cycles {
+		t.Fatalf("job's stitched estimate %d cycles, direct zero-warmup run %d", v.Result.Cycles, res.Stats.Cycles)
 	}
 }
 
@@ -725,11 +770,11 @@ func TestConfigRejectsPartialCore(t *testing.T) {
 	}
 }
 
-// TestFusedMissReportsReplayOnly checks a cache-miss job runs the fused
-// streaming path: simulation and replay overlap, so the job reports all its
-// wall-clock as replay and zero as a separate capture phase, while a
-// subsequent hit reports a capture phase of ~0 and a real replay.
-func TestFusedMissReportsReplayOnly(t *testing.T) {
+// TestJobTimingSplitsCaptureAndReplay checks a job's phase split: a
+// cache miss simulates its capture and then replays it, so it reports both
+// phases, while a hit only looks the capture up and reports a capture phase
+// far shorter than the miss's simulation.
+func TestJobTimingSplitsCaptureAndReplay(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 
 	v, code := submit(t, ts, testSpec())
@@ -740,8 +785,8 @@ func TestFusedMissReportsReplayOnly(t *testing.T) {
 	if miss.State != stateDone || miss.CacheHit {
 		t.Fatalf("first job: state=%s hit=%v (%s)", miss.State, miss.CacheHit, miss.Error)
 	}
-	if miss.Timing == nil || miss.Timing.CaptureSeconds != 0 || miss.Timing.ReplaySeconds <= 0 {
-		t.Fatalf("fused miss timing = %+v, want capture 0 and replay > 0", miss.Timing)
+	if miss.Timing == nil || miss.Timing.CaptureSeconds <= 0 || miss.Timing.ReplaySeconds <= 0 {
+		t.Fatalf("miss timing = %+v, want capture > 0 and replay > 0", miss.Timing)
 	}
 
 	v2, code := submit(t, ts, testSpec())
@@ -752,8 +797,10 @@ func TestFusedMissReportsReplayOnly(t *testing.T) {
 	if hit.State != stateDone || !hit.CacheHit {
 		t.Fatalf("second job: state=%s hit=%v (%s)", hit.State, hit.CacheHit, hit.Error)
 	}
-	if hit.Timing == nil || hit.Timing.ReplaySeconds <= 0 {
-		t.Fatalf("cache hit timing = %+v, want a replay phase", hit.Timing)
+	if hit.Timing == nil || hit.Timing.ReplaySeconds <= 0 ||
+		hit.Timing.CaptureSeconds >= miss.Timing.CaptureSeconds/2 {
+		t.Fatalf("cache hit timing = %+v, want a replay phase and a capture lookup far below the miss's %.4fs simulation",
+			hit.Timing, miss.Timing.CaptureSeconds)
 	}
 }
 

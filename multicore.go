@@ -80,9 +80,6 @@ func RunMulticoreCaptured(ctx context.Context, ws []*Workload, capt *TraceCaptur
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("tip: multicore replay: %w", err)
 	}
-	if rc.TargetSamples == 0 {
-		rc.TargetSamples = 4096
-	}
 	rc.ExtraConsumers = nil
 	rc.ExtraConsumersAt = nil
 
@@ -91,15 +88,9 @@ func RunMulticoreCaptured(ctx context.Context, ws []*Workload, capt *TraceCaptur
 		perCore = 1
 	}
 	matrices := make([]consumerMatrix, len(ws))
-	intervals := make([]uint64, len(ws))
 	var shards []trace.Consumer
 	for i, w := range ws {
-		interval := rc.SampleInterval
-		if interval == 0 {
-			interval = CalibrateInterval(stats[i].Cycles, rc.TargetSamples)
-		}
-		intervals[i] = interval
-		matrices[i] = buildMatrix(w, rc, interval)
+		matrices[i] = calibratedMatrix(w, rc, stats[i].Cycles)
 		for _, shard := range matrices[i].shards(perCore) {
 			shards = append(shards, &trace.CoreFilter{Core: uint32(i), Inner: shard})
 		}
@@ -117,19 +108,11 @@ func RunMulticoreCaptured(ctx context.Context, ws []*Workload, capt *TraceCaptur
 	}
 	res := &MulticoreResult{TotalCycles: totalCycles}
 	for i, w := range ws {
-		m := &matrices[i]
-		if m.checker != nil {
-			if cerr := m.checker.Err(); cerr != nil {
-				return nil, fmt.Errorf("tip: core %d (%s): %w", i, w.Name, cerr)
-			}
+		cr, err := matrices[i].result(w, stats[i])
+		if err != nil {
+			return nil, fmt.Errorf("tip: core %d (%s): %w", i, w.Name, err)
 		}
-		res.Cores = append(res.Cores, &Result{
-			Workload:       w,
-			Stats:          stats[i],
-			Oracle:         m.oracle,
-			Sampled:        m.byKind,
-			SampleInterval: intervals[i],
-		})
+		res.Cores = append(res.Cores, cr)
 	}
 	return res, nil
 }

@@ -95,7 +95,7 @@ const (
 // DefaultSampledWindow and DefaultSampledInterval. warmup is "" for
 // DefaultSampledWarmup (none at full fraction, where nothing is
 // fast-forwarded), "auto" for AutoWarmupCycles, or a literal cycle count,
-// "0" included (see WarmupSpec for the numeric spelling).
+// "0" included.
 func (rc *RunConfig) ResolveSampled(window, interval uint64, warmup string) error {
 	if window == 0 {
 		window = DefaultSampledWindow
@@ -121,19 +121,6 @@ func (rc *RunConfig) ResolveSampled(window, interval uint64, warmup string) erro
 	rc.Sampled = true
 	rc.WindowCycles, rc.WindowInterval, rc.WarmupCycles = window, interval, warm
 	return ValidateSampled(*rc)
-}
-
-// WarmupSpec spells a numeric warmup request, where zero cycles means the
-// default, as ResolveSampled's warmup argument: "auto" when auto is set, ""
-// for zero cycles, else the literal count.
-func WarmupSpec(cycles uint64, auto bool) string {
-	switch {
-	case auto:
-		return "auto"
-	case cycles == 0:
-		return ""
-	}
-	return strconv.FormatUint(cycles, 10)
 }
 
 // ValidateSampled checks rc's sampled-simulation window geometry. RunSampled
@@ -270,96 +257,22 @@ func (st *stitcher) settle(curCycles, curCommitted uint64, haveCur bool) {
 // is bit-identical to RunStreaming (and to the two-pass captured path) at
 // every layer. A nil ctx means context.Background().
 func RunSampled(ctx context.Context, w *Workload, rc RunConfig) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	fail := func(err error) (*Result, error) {
+	if err := ValidateSampled(rc); err != nil {
 		return nil, fmt.Errorf("tip: %s: %w", w.Name, err)
 	}
-	if err := ValidateSampled(rc); err != nil {
-		return fail(err)
-	}
-	if err := ctx.Err(); err != nil {
-		return fail(err)
-	}
-	if rc.TargetSamples == 0 {
-		rc.TargetSamples = 4096
-	}
-
-	var pilotCycles uint64
-	if rc.SampleInterval == 0 {
-		pilotCycles = rc.PilotCycles
-		if pilotCycles == 0 {
-			pilotCycles = DefaultPilotCycles
-		}
-	}
-	s := trace.NewStream(trace.StreamConfig{PilotCycles: pilotCycles})
-
-	runCtx, cancelRun := context.WithCancel(ctx)
-	defer cancelRun()
-	var stats CoreStats
 	var sampling *SampledRunStats
-	prodDone := make(chan struct{})
-	go func() {
-		defer close(prodDone)
-		st, sr, err := runSampledWindows(runCtx, w, rc, s)
+	res, err := runFused(ctx, w, rc, rc.WindowCycles, rc.WindowInterval, func(ctx context.Context, s *trace.Stream) (CoreStats, error) {
+		st, sr, err := runSampledWindows(ctx, w, rc, s)
 		if err != nil {
-			s.Fail(fmt.Errorf("%s: %w", w.Name, err))
-			return
+			return CoreStats{}, err
 		}
-		stats, sampling = st, sr
+		sampling = sr
 		s.Finish(sr.MeasuredCycles)
-	}()
-	stop := func() {
-		s.Abort()
-		cancelRun()
-		<-prodDone
+		return st, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	interval := rc.SampleInterval
-	estCycles := uint64(0)
-	if interval == 0 {
-		ps, err := s.Pilot(ctx)
-		if err != nil {
-			stop()
-			return fail(err)
-		}
-		estCycles = PilotEstimateCycles(ps, w.TargetDynInsts)
-		if !ps.Exact {
-			// The pilot extrapolates the full run, but the profilers
-			// only see the measured fraction of it — shrink the
-			// estimate so the interval still collects ~TargetSamples
-			// from the measured stream. (Exact pilot stats already
-			// are the measured total.)
-			estCycles = mulDiv(estCycles, rc.WindowCycles, rc.WindowInterval)
-		}
-		interval = CalibrateInterval(estCycles, rc.TargetSamples)
-	}
-	if rc.ExtraConsumersAt != nil {
-		rc.ExtraConsumers = appendConsumers(rc.ExtraConsumers, rc.ExtraConsumersAt(interval, estCycles))
-	}
-	m := buildMatrix(w, rc, interval)
-
-	workers := rc.ReplayWorkers
-	if workers < 1 {
-		workers = 1
-	}
-	if _, _, err := s.ReplayShards(ctx, m.shards(workers)...); err != nil {
-		stop()
-		return fail(err)
-	}
-	<-prodDone
-	if m.checker != nil {
-		if err := m.checker.Err(); err != nil {
-			return fail(err)
-		}
-	}
-	return &Result{
-		Workload:       w,
-		Stats:          stats,
-		Oracle:         m.oracle,
-		Sampled:        m.byKind,
-		SampleInterval: interval,
-		Sampling:       sampling,
-	}, nil
+	res.Sampling = sampling
+	return res, nil
 }

@@ -94,17 +94,6 @@ func TestResolveSampled(t *testing.T) {
 				rc.WindowCycles, rc.WindowInterval, rc.WarmupCycles, tc.wantW, tc.wantI, tc.wantWarm)
 		}
 	}
-	// The numeric spelling tipd and the suite harness use: zero cycles is
-	// the default, anything else literal.
-	for _, tc := range []struct {
-		cycles uint64
-		auto   bool
-		want   string
-	}{{0, false, ""}, {0, true, "auto"}, {1024, true, "auto"}, {1024, false, "1024"}} {
-		if got := WarmupSpec(tc.cycles, tc.auto); got != tc.want {
-			t.Errorf("WarmupSpec(%d, %v) = %q, want %q", tc.cycles, tc.auto, got, tc.want)
-		}
-	}
 }
 
 // TestRunSampledFullFractionIdentity is the degenerate-case pin: with

@@ -56,47 +56,31 @@ func appendConsumers(base, extra []trace.Consumer) []trace.Consumer {
 // (rc.PilotCycles); see RunConfig.Streaming for the parity contract with the
 // captured path. A nil ctx means context.Background().
 func RunStreaming(ctx context.Context, w *Workload, rc RunConfig) (*Result, error) {
-	res, _, err := runStreaming(ctx, w, rc, nil)
-	return res, err
+	return runFused(ctx, w, rc, 1, 1, func(ctx context.Context, s *trace.Stream) (CoreStats, error) {
+		return newCore(rc.Core, w).RunContext(ctx, s)
+	})
 }
 
-// RunStreamingTee is RunStreaming with the full encoded trace teed into a
-// capture as it streams past — the fused equivalent of CaptureWorkload
-// followed by RunCaptured, for callers that need both the profiler results
-// and a persistable capture (golden-file generation, the tipd capture
-// cache). On success the caller owns the returned capture and must Close
-// it; on error no capture is returned and any spill file is released.
-func RunStreamingTee(ctx context.Context, w *Workload, rc RunConfig) (*Result, *TraceCapture, CoreStats, error) {
-	capt := trace.NewCapture(0)
-	res, stats, err := runStreaming(ctx, w, rc, capt)
-	if err != nil {
-		if cerr := capt.Close(); cerr != nil {
-			err = fmt.Errorf("%w (also failed to close teed capture: %v)", err, cerr)
-		}
-		return nil, nil, CoreStats{}, err
-	}
-	return res, capt, stats, nil
-}
-
-// runStreaming is the fused capture→replay orchestrator. The producer
-// goroutine runs the core, feeding the stream (optionally teed into capt);
-// the calling goroutine calibrates from the pilot window, builds the
-// profiler matrix, and replays the stream through it. Error precedence
-// follows the captured path: a core/capture failure surfaces as the run
-// error, a shard consumer failure as the replay error, and any failure
+// runFused is the one orchestrator behind RunStreaming and RunSampled.
+// produce runs on its own goroutine, feeds the stream and returns the run's
+// statistics, having Finished the stream on success (the core's RunContext
+// does so itself); on error runFused fails the stream. The calling
+// goroutine calibrates from the pilot window, builds the profiler matrix,
+// and replays the stream through it. The profilers observe measuredNum/measuredDen of the run, so
+// an extrapolated (inexact) pilot estimate is scaled by that fraction before
+// calibration; exact pilot stats already are the observed total. Error
+// precedence follows the captured path: a producer failure surfaces as the
+// run error, a shard consumer failure as the replay error, and any failure
 // cancels the other side before returning.
-func runStreaming(ctx context.Context, w *Workload, rc RunConfig, capt *TraceCapture) (*Result, CoreStats, error) {
+func runFused(ctx context.Context, w *Workload, rc RunConfig, measuredNum, measuredDen uint64, produce func(context.Context, *trace.Stream) (CoreStats, error)) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	fail := func(err error) (*Result, CoreStats, error) {
-		return nil, CoreStats{}, fmt.Errorf("tip: %s: %w", w.Name, err)
+	fail := func(err error) (*Result, error) {
+		return nil, fmt.Errorf("tip: %s: %w", w.Name, err)
 	}
 	if err := ctx.Err(); err != nil {
 		return fail(err)
-	}
-	if rc.TargetSamples == 0 {
-		rc.TargetSamples = 4096
 	}
 
 	var pilotCycles uint64
@@ -107,10 +91,6 @@ func runStreaming(ctx context.Context, w *Workload, rc RunConfig, capt *TraceCap
 		}
 	}
 	s := trace.NewStream(trace.StreamConfig{PilotCycles: pilotCycles})
-	var producer trace.Consumer = s
-	if capt != nil {
-		producer = &trace.Tee{Consumers: []trace.Consumer{capt, s}}
-	}
 
 	runCtx, cancelRun := context.WithCancel(ctx)
 	defer cancelRun()
@@ -118,39 +98,37 @@ func runStreaming(ctx context.Context, w *Workload, rc RunConfig, capt *TraceCap
 	prodDone := make(chan struct{})
 	go func() {
 		defer close(prodDone)
-		st, err := newCore(rc.Core, w).RunContext(runCtx, producer)
+		st, err := produce(runCtx, s)
 		if err != nil {
-			// RunContext delivered no Finish; Fail closes the producer side
-			// so the replay drains and then observes this error.
+			// Fail closes the producer side so the replay drains and then
+			// observes this error.
 			s.Fail(err)
 			return
 		}
 		stats = st
 	}()
 	// stop tears down both sides on a consumer-side failure: the stream stops
-	// accepting records, the core's context is cancelled, and the producer
-	// goroutine is awaited so nothing races the return.
+	// accepting records, the producer's context is cancelled, and the
+	// producer goroutine is awaited so nothing races the return.
 	stop := func() {
 		s.Abort()
 		cancelRun()
 		<-prodDone
 	}
 
-	interval := rc.SampleInterval
-	estCycles := uint64(0)
-	if interval == 0 {
+	var estCycles uint64
+	if rc.SampleInterval == 0 {
 		ps, err := s.Pilot(ctx)
 		if err != nil {
 			stop()
 			return fail(err)
 		}
 		estCycles = PilotEstimateCycles(ps, w.TargetDynInsts)
-		interval = CalibrateInterval(estCycles, rc.TargetSamples)
+		if !ps.Exact {
+			estCycles = mulDiv(estCycles, measuredNum, measuredDen)
+		}
 	}
-	if rc.ExtraConsumersAt != nil {
-		rc.ExtraConsumers = appendConsumers(rc.ExtraConsumers, rc.ExtraConsumersAt(interval, estCycles))
-	}
-	m := buildMatrix(w, rc, interval)
+	m := calibratedMatrix(w, rc, estCycles)
 
 	workers := rc.ReplayWorkers
 	if workers < 1 {
@@ -163,21 +141,9 @@ func runStreaming(ctx context.Context, w *Workload, rc RunConfig, capt *TraceCap
 	// A clean replay means the producer already Finished; the wait is only
 	// for the stats publication.
 	<-prodDone
-	if capt != nil {
-		if err := capt.Err(); err != nil {
-			return fail(fmt.Errorf("capture: %w", err))
-		}
+	res, err := m.result(w, stats)
+	if err != nil {
+		return fail(err)
 	}
-	if m.checker != nil {
-		if err := m.checker.Err(); err != nil {
-			return fail(err)
-		}
-	}
-	return &Result{
-		Workload:       w,
-		Stats:          stats,
-		Oracle:         m.oracle,
-		Sampled:        m.byKind,
-		SampleInterval: interval,
-	}, stats, nil
+	return res, nil
 }

@@ -1,13 +1,9 @@
 package tip
 
 import (
-	"bytes"
-	"compress/gzip"
 	"context"
 	"errors"
-	"io"
 	"math"
-	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -104,47 +100,6 @@ func TestRunStreamingPilotParityOnGolden(t *testing.T) {
 		t.Fatalf("streamed interval %d, want CalibrateInterval's %d", got.SampleInterval, want)
 	}
 	assertResultsIdentical(t, "golden pilot parity", ref, got)
-}
-
-// TestRunStreamingTeeMatchesCapture checks the tee path emits the
-// byte-identical encoded stream CaptureWorkload produces, and that the
-// committed golden capture validates it end to end.
-func TestRunStreamingTeeMatchesCapture(t *testing.T) {
-	w, err := workload.LoadScaled("mcf", 1, 8_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc := DefaultRunConfig()
-	rc.TargetSamples = 512
-	res, capt, stats, err := RunStreamingTee(context.Background(), w, rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer capt.Close()
-	if res == nil || stats.Cycles == 0 || capt.Cycles() != stats.Cycles {
-		t.Fatalf("tee bookkeeping: stats=%+v capture cycles=%d", stats, capt.Cycles())
-	}
-	var got bytes.Buffer
-	if _, err := capt.WriteTo(&got); err != nil {
-		t.Fatal(err)
-	}
-
-	f, err := os.Open(goldenCapturePath)
-	if err != nil {
-		t.Skipf("golden capture unavailable: %v", err)
-	}
-	defer f.Close()
-	zr, err := gzip.NewReader(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := io.ReadAll(zr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatal("teed capture diverged from the committed golden capture")
-	}
 }
 
 // TestRunStreamingConsumerFault checks a failing extra consumer aborts the

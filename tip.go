@@ -109,11 +109,11 @@ type RunConfig struct {
 	// means all of them.
 	Profilers []Kind
 	// SampleInterval is the sampling period in cycles. Zero means
-	// calibrate: run the single cycle-level simulation while capturing
-	// its trace, set the interval so the run collects about
+	// calibrate: set the interval so the run collects about
 	// TargetSamples samples — the scaled equivalent of the paper's
-	// 4 kHz on multi-minute benchmarks (see DESIGN.md) — and feed the
-	// profilers by replaying the capture.
+	// 4 kHz on multi-minute benchmarks (see DESIGN.md) — from the
+	// captured run's exact cycle count (or, when Streaming or Sampled,
+	// from a pilot-window estimate).
 	SampleInterval uint64
 	// TargetSamples is the calibration target (default 4096).
 	TargetSamples uint64
@@ -143,20 +143,20 @@ type RunConfig struct {
 	// fans the profiler matrix out over (0 or 1 = sequential). The capture
 	// is decoded once and the decoded chunks are broadcast to every
 	// worker, each owning a disjoint subset of the profilers behind its
-	// own dispatcher; results are byte-identical at any worker count. Only
-	// replays shard — a live profiled run (explicit SampleInterval with no
-	// capture) always streams sequentially.
+	// own dispatcher; results are byte-identical at any worker count.
 	ReplayWorkers int
-	// Streaming fuses capture and replay: Run simulates the core once,
-	// streaming trace chunks through a bounded ring into the
-	// profiler matrix while the simulation is still running, instead of
-	// capturing the whole trace first. Peak memory stays bounded by the
-	// pilot window plus the ring regardless of run length, and wall-clock
-	// approaches max(simulate, replay). Calibration uses a pilot window
-	// (see PilotCycles), so with SampleInterval zero the chosen interval is
-	// an estimate — identical to the captured path's only when the run ends
-	// inside the pilot window; profiler output is byte-identical between
-	// the two paths whenever the interval matches.
+	// Streaming fuses capture and replay for a one-off batch run: Run
+	// simulates the core once, streaming trace chunks through a bounded
+	// ring into the profiler matrix while the simulation is still running,
+	// instead of capturing the whole trace first. Peak memory stays bounded
+	// by the pilot window plus the ring regardless of run length, and
+	// wall-clock approaches max(simulate, replay). Calibration uses a pilot
+	// window (see PilotCycles), so with SampleInterval zero the chosen
+	// interval is an estimate — identical to the captured path's only when
+	// the run ends inside the pilot window; profiler output is
+	// byte-identical between the two paths whenever the interval matches.
+	// Nothing is kept for a later rerun, so services that cache captures
+	// (tipd) capture and replay instead.
 	Streaming bool
 	// PilotCycles is the streaming calibration window in cycles (0 =
 	// DefaultPilotCycles). The pilot prefix is buffered, its
@@ -307,11 +307,30 @@ func CaptureWorkloadContext(ctx context.Context, w *Workload, cfg CoreConfig) (*
 // every-cycle tier (Oracle, checker, non-sampled extras — pinned together
 // on one replay shard) and the sample-aware tier (balanced across shards).
 type consumerMatrix struct {
-	every   []trace.Consumer
-	sampled []*profiler.Sampled
-	oracle  *profiler.Oracle
-	byKind  map[Kind]*profiler.Sampled
-	checker *check.Checker
+	every    []trace.Consumer
+	sampled  []*profiler.Sampled
+	oracle   *profiler.Oracle
+	byKind   map[Kind]*profiler.Sampled
+	checker  *check.Checker
+	interval uint64
+}
+
+// calibratedMatrix is the step every route shares once a run's length is
+// known: it resolves the sampling interval — rc.SampleInterval when
+// explicit, else calibrated from estCycles (the exact cycle count of a
+// capture, or a pilot-window estimate) — hands it to rc.ExtraConsumersAt,
+// and builds the profiler matrix.
+func calibratedMatrix(w *Workload, rc RunConfig, estCycles uint64) consumerMatrix {
+	interval := rc.SampleInterval
+	if interval == 0 {
+		interval = CalibrateInterval(estCycles, rc.TargetSamples)
+	} else {
+		estCycles = 0
+	}
+	if rc.ExtraConsumersAt != nil {
+		rc.ExtraConsumers = appendConsumers(rc.ExtraConsumers, rc.ExtraConsumersAt(interval, estCycles))
+	}
+	return buildMatrix(w, rc, interval)
 }
 
 // buildMatrix assembles the profiler matrix for one evaluation.
@@ -321,8 +340,9 @@ func buildMatrix(w *Workload, rc RunConfig, interval uint64) consumerMatrix {
 		kinds = profiler.AllKinds()
 	}
 	m := consumerMatrix{
-		oracle: profiler.NewOracle(w.Prog, rc.WithBreakdown),
-		byKind: make(map[Kind]*profiler.Sampled, len(kinds)),
+		oracle:   profiler.NewOracle(w.Prog, rc.WithBreakdown),
+		byKind:   make(map[Kind]*profiler.Sampled, len(kinds)),
+		interval: interval,
 	}
 	m.every = append(m.every, m.oracle)
 	for _, k := range kinds {
@@ -407,6 +427,24 @@ func (m *consumerMatrix) shards(workers int) []trace.Consumer {
 	return shards
 }
 
+// result is the tail every route shares once the matrix has seen the whole
+// run: it fails on any invariant the checker recorded, else packages the
+// matrix's profiles with the run's statistics.
+func (m *consumerMatrix) result(w *Workload, stats CoreStats) (*Result, error) {
+	if m.checker != nil {
+		if err := m.checker.Err(); err != nil {
+			return nil, err
+		}
+	}
+	return &Result{
+		Workload:       w,
+		Stats:          stats,
+		Oracle:         m.oracle,
+		Sampled:        m.byKind,
+		SampleInterval: m.interval,
+	}, nil
+}
+
 // RunCaptured evaluates rc's profiler matrix by replaying a captured trace
 // of w — no second simulation. stats must be the capture run's statistics.
 // With rc.SampleInterval zero the interval is calibrated from stats.Cycles.
@@ -426,19 +464,7 @@ func RunCaptured(ctx context.Context, w *Workload, capt *TraceCapture, stats Cor
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("tip: %s: %w", w.Name, err)
 	}
-	if rc.TargetSamples == 0 {
-		rc.TargetSamples = 4096
-	}
-	interval := rc.SampleInterval
-	estCycles := uint64(0)
-	if interval == 0 {
-		estCycles = stats.Cycles
-		interval = CalibrateInterval(stats.Cycles, rc.TargetSamples)
-	}
-	if rc.ExtraConsumersAt != nil {
-		rc.ExtraConsumers = appendConsumers(rc.ExtraConsumers, rc.ExtraConsumersAt(interval, estCycles))
-	}
-	m := buildMatrix(w, rc, interval)
+	m := calibratedMatrix(w, rc, stats.Cycles)
 	var err error
 	if rc.ReplayWorkers > 1 {
 		_, _, err = capt.ReplayShards(ctx, 0, m.shards(rc.ReplayWorkers)...)
@@ -448,65 +474,31 @@ func RunCaptured(ctx context.Context, w *Workload, capt *TraceCapture, stats Cor
 	if err != nil {
 		return nil, fmt.Errorf("tip: %s: %w", w.Name, err)
 	}
-	if m.checker != nil {
-		if err := m.checker.Err(); err != nil {
-			return nil, fmt.Errorf("tip: %s: %w", w.Name, err)
-		}
+	res, err := m.result(w, stats)
+	if err != nil {
+		return nil, fmt.Errorf("tip: %s: %w", w.Name, err)
 	}
-	return &Result{
-		Workload:       w,
-		Stats:          stats,
-		Oracle:         m.oracle,
-		Sampled:        m.byKind,
-		SampleInterval: interval,
-	}, nil
+	return res, nil
 }
 
-// Run simulates w under rc. With rc.SampleInterval zero it runs the single
-// cycle-level simulation while capturing the encoded trace, calibrates the
-// sampling period from the measured cycle count, and feeds the profilers by
-// replaying the capture — one simulation where there used to be two. With an
-// explicit interval the profilers observe the live trace stream directly.
-// Either way the profilers see the byte-identical record stream.
+// Run simulates w under rc: a sampled run (rc.Sampled) or a fused
+// streaming run (rc.Streaming) when asked for, otherwise the single
+// cycle-level simulation captures the encoded trace and the profilers are
+// fed by replaying the capture (see RunCaptured), calibrated from the exact
+// cycle count unless rc.SampleInterval is explicit.
 func Run(w *Workload, rc RunConfig) (*Result, error) {
-	if rc.TargetSamples == 0 {
-		rc.TargetSamples = 4096
-	}
 	if rc.Sampled {
 		return RunSampled(context.Background(), w, rc)
 	}
 	if rc.Streaming {
 		return RunStreaming(context.Background(), w, rc)
 	}
-	if rc.SampleInterval == 0 {
-		capt, stats, err := CaptureWorkload(w, rc.Core)
-		if err != nil {
-			return nil, err
-		}
-		defer capt.Close()
-		return RunCaptured(context.Background(), w, capt, stats, rc)
-	}
-
-	if rc.ExtraConsumersAt != nil {
-		rc.ExtraConsumers = appendConsumers(rc.ExtraConsumers, rc.ExtraConsumersAt(rc.SampleInterval, 0))
-	}
-	m := buildMatrix(w, rc, rc.SampleInterval)
-	stats, err := newCore(rc.Core, w).Run(m.dispatcher())
+	capt, stats, err := CaptureWorkload(w, rc.Core)
 	if err != nil {
-		return nil, fmt.Errorf("tip: %s: %w", w.Name, err)
+		return nil, err
 	}
-	if m.checker != nil {
-		if err := m.checker.Err(); err != nil {
-			return nil, fmt.Errorf("tip: %s: %w", w.Name, err)
-		}
-	}
-	return &Result{
-		Workload:       w,
-		Stats:          stats,
-		Oracle:         m.oracle,
-		Sampled:        m.byKind,
-		SampleInterval: rc.SampleInterval,
-	}, nil
+	defer capt.Close()
+	return RunCaptured(context.Background(), w, capt, stats, rc)
 }
 
 // MeasureStats runs w unprofiled and returns the core statistics (used by
