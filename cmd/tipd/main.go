@@ -7,7 +7,10 @@
 // stands in for the TIP hardware, tipd plays the role of the perf server
 // that records samples online and rebuilds profiles offline on demand.
 // Repeated jobs for the same (bench, seed, scale, core) reuse the cached
-// capture and skip the cycle-level simulation entirely. Jobs submitted with
+// capture and skip the cycle-level simulation entirely. With -store, every
+// simulated capture is also written to a verified content-addressed
+// directory as it is made, so a restarted daemon — even one killed with
+// SIGKILL — serves those keys warm. Jobs submitted with
 // "sampled":true instead run under sampled simulation (detailed measurement
 // windows alternating with functional fast-forward) and bypass the capture
 // cache — there is no full trace to store. Jobs submitted with "cores":[...]
@@ -18,7 +21,7 @@
 //
 // Example:
 //
-//	tipd -listen :7171 -spill-dir /var/tmp/tipd &
+//	tipd -listen :7171 -store /var/tmp/tipstore &
 //	curl -s localhost:7171/v1/jobs -d '{"bench":"imagick","scale":200000}'
 //	curl -s localhost:7171/v1/jobs/j00000001
 //	curl -s -o prof.pb.gz localhost:7171/v1/jobs/j00000001/pprof?profiler=TIP
@@ -67,7 +70,6 @@ func main() {
 		queue        = flag.Int("queue", 16, "max queued jobs before submissions get 429")
 		cacheEntries = flag.Int("cache-entries", 8, "max captures kept in the in-memory cache")
 		cacheMB      = flag.Int64("cache-mb", 1024, "max megabytes of encoded captures cached")
-		spillDir     = flag.String("spill-dir", "", "persist the capture cache here across restarts (empty = off)")
 		jobTimeout   = flag.Duration("job-timeout", 10*time.Minute, "per-job execution deadline")
 		retain       = flag.Int("retain", 256, "finished jobs kept for retrieval")
 
@@ -75,7 +77,7 @@ func main() {
 		join        = flag.String("join", "", "coordinator URL to register with (worker joins the fleet)")
 		advertise   = flag.String("advertise", "", "URL the coordinator dials for this node (default http://<listen>)")
 		name        = flag.String("name", "", "fleet node name (default host:port of -listen)")
-		storeDir    = flag.String("store", "", "shared content-addressed capture store directory (empty = off)")
+		storeDir    = flag.String("store", "", "content-addressed capture store directory, written as captures are simulated; a restarted or peer daemon on it starts warm (empty = off)")
 		heartbeat   = flag.Duration("heartbeat", time.Second, "fleet heartbeat interval")
 		lameduck    = flag.Duration("lameduck", 0, "after drain, keep serving reads this long before closing HTTP")
 	)
@@ -104,7 +106,6 @@ func main() {
 		QueueDepth:      *queue,
 		CacheEntries:    *cacheEntries,
 		CacheBytes:      uint64(*cacheMB) << 20,
-		SpillDir:        *spillDir,
 		JobTimeout:      *jobTimeout,
 		MaxRetainedJobs: *retain,
 		Store:           store,

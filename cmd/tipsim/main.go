@@ -23,6 +23,7 @@ import (
 
 	tip "github.com/tipprof/tip"
 	"github.com/tipprof/tip/internal/perfdata"
+	"github.com/tipprof/tip/internal/profiler"
 	"github.com/tipprof/tip/internal/sampling"
 	"github.com/tipprof/tip/internal/trace"
 	"github.com/tipprof/tip/internal/workload"
@@ -89,9 +90,12 @@ func main() {
 		return
 	}
 
-	kinds, err := parseKinds(*profilers)
-	if err != nil {
-		fatal(err)
+	var kinds []tip.Kind
+	if *profilers != "" {
+		var err error
+		if kinds, err = profiler.ParseKinds(strings.Split(*profilers, ",")...); err != nil {
+			fatal(err)
+		}
 	}
 
 	rc := tip.DefaultRunConfig()
@@ -262,25 +266,6 @@ func configureSampled(rc *tip.RunConfig, sampled bool, window, interval uint64, 
 	}
 	rc.WindowWorkers = workers
 	return rc.ResolveSampled(window, interval, warmup)
-}
-
-func parseKinds(s string) ([]tip.Kind, error) {
-	if s == "" {
-		return nil, nil
-	}
-	byName := map[string]tip.Kind{}
-	for _, k := range tip.AllKinds() {
-		byName[strings.ToLower(k.String())] = k
-	}
-	var out []tip.Kind
-	for _, part := range strings.Split(s, ",") {
-		k, ok := byName[strings.ToLower(strings.TrimSpace(part))]
-		if !ok {
-			return nil, fmt.Errorf("unknown profiler %q (known: Software, Dispatch, LCI, NCI, NCI+ILP, TIP-ILP, TIP)", part)
-		}
-		out = append(out, k)
-	}
-	return out, nil
 }
 
 func orderOf(res *tip.Result) []tip.Kind {

@@ -393,30 +393,19 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	routed, steals, rejects, errs := c.routed, c.steals, c.rejects, c.errors
 	c.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	fmt.Fprintf(w, "# HELP fleet_jobs_routed_total Submissions accepted by some worker.\n")
-	fmt.Fprintf(w, "# TYPE fleet_jobs_routed_total counter\n")
-	fmt.Fprintf(w, "fleet_jobs_routed_total %d\n", routed)
-	fmt.Fprintf(w, "# HELP fleet_steals_total Jobs routed to a non-home node because the home was saturated.\n")
-	fmt.Fprintf(w, "# TYPE fleet_steals_total counter\n")
-	fmt.Fprintf(w, "fleet_steals_total %d\n", steals)
-	fmt.Fprintf(w, "# HELP fleet_rejected_total Submissions rejected with every candidate unavailable.\n")
-	fmt.Fprintf(w, "# TYPE fleet_rejected_total counter\n")
-	fmt.Fprintf(w, "fleet_rejected_total %d\n", rejects)
-	fmt.Fprintf(w, "# HELP fleet_proxy_errors_total Worker requests that failed at the transport level.\n")
-	fmt.Fprintf(w, "# TYPE fleet_proxy_errors_total counter\n")
-	fmt.Fprintf(w, "fleet_proxy_errors_total %d\n", errs)
-	fmt.Fprintf(w, "# HELP fleet_nodes Registered workers (on the ring or not).\n")
-	fmt.Fprintf(w, "# TYPE fleet_nodes gauge\n")
-	fmt.Fprintf(w, "fleet_nodes %d\n", len(views))
-	fmt.Fprintf(w, "# HELP fleet_node_assigned_total Jobs routed to a node as its home.\n")
-	fmt.Fprintf(w, "# TYPE fleet_node_assigned_total counter\n")
+	p := Prom{W: w}
+	p.Metric("fleet_jobs_routed_total", "counter", "Submissions accepted by some worker.", routed)
+	p.Metric("fleet_steals_total", "counter", "Jobs routed to a non-home node because the home was saturated.", steals)
+	p.Metric("fleet_rejected_total", "counter", "Submissions rejected with every candidate unavailable.", rejects)
+	p.Metric("fleet_proxy_errors_total", "counter", "Worker requests that failed at the transport level.", errs)
+	p.Metric("fleet_nodes", "gauge", "Registered workers (on the ring or not).", len(views))
+	p.Family("fleet_node_assigned_total", "counter", "Jobs routed to a node as its home.")
 	for _, v := range views {
-		fmt.Fprintf(w, "fleet_node_assigned_total{node=%q} %d\n", v.Name, v.Assigned)
+		p.Sample(fmt.Sprintf("fleet_node_assigned_total{node=%q}", v.Name), v.Assigned)
 	}
-	fmt.Fprintf(w, "# HELP fleet_node_stolen_total Jobs a node received as a steal.\n")
-	fmt.Fprintf(w, "# TYPE fleet_node_stolen_total counter\n")
+	p.Family("fleet_node_stolen_total", "counter", "Jobs a node received as a steal.")
 	for _, v := range views {
-		fmt.Fprintf(w, "fleet_node_stolen_total{node=%q} %d\n", v.Name, v.Stolen)
+		p.Sample(fmt.Sprintf("fleet_node_stolen_total{node=%q}", v.Name), v.Stolen)
 	}
 }
 

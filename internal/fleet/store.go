@@ -16,11 +16,11 @@ import (
 	"github.com/tipprof/tip/internal/trace"
 )
 
-// Store is the fleet's content-addressed shared capture store: a directory
-// (typically on shared storage) holding one <id>.trc per capture — exactly
-// the encoded stream trace.Capture.WriteTo emits, the same format tipd's
-// spill directory uses — plus an <id>.json sidecar carrying the replay
-// calibration stats and a SHA-256 of the payload.
+// Store is tipd's content-addressed on-disk capture store: a directory
+// (local for one daemon's warm restarts, or on shared storage for a fleet)
+// holding one <id>.trc per capture — exactly the encoded stream
+// trace.Capture.WriteTo emits — plus an <id>.json sidecar carrying the
+// replay calibration stats and a SHA-256 of the payload.
 //
 // Captures are deterministic functions of their key (bench, seed, scale,
 // core-config hash — the golden-capture tests pin byte-identity), so the key
@@ -37,10 +37,8 @@ type Store struct {
 	puts   atomic.Uint64
 }
 
-// storeMeta is the sidecar schema. CoreStats always carries one entry per
-// core (length 1 for single-core captures), unlike tipd's spill sidecar
-// which keeps a legacy scalar field; the store is new, so it doesn't carry
-// that compatibility shim.
+// storeMeta is the sidecar schema. Stats carries one entry per core
+// (length 1 for single-core captures).
 type storeMeta struct {
 	ID      string      `json:"id"`
 	Records uint64      `json:"records"`

@@ -1,6 +1,9 @@
 package profiler
 
 import (
+	"fmt"
+	"strings"
+
 	"github.com/tipprof/tip/internal/profile"
 	"github.com/tipprof/tip/internal/program"
 	"github.com/tipprof/tip/internal/sampling"
@@ -59,6 +62,24 @@ func AllKinds() []Kind {
 		out[i] = Kind(i)
 	}
 	return out
+}
+
+// ParseKinds resolves profiler names, case-insensitively and ignoring
+// surrounding space, in the order given. An unknown name is an error that
+// lists the known ones.
+func ParseKinds(names ...string) ([]Kind, error) {
+	var out []Kind
+	for _, name := range names {
+		k := Kind(0)
+		for k < numKinds && !strings.EqualFold(kindNames[k], strings.TrimSpace(name)) {
+			k++
+		}
+		if k == numKinds {
+			return nil, fmt.Errorf("unknown profiler %q (known: %s)", name, strings.Join(kindNames[:], ", "))
+		}
+		out = append(out, k)
+	}
+	return out, nil
 }
 
 // pendingSample is a sample awaiting a resolution event.

@@ -5,12 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"log"
-	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 
@@ -28,14 +23,13 @@ func coreConfigHash(cfg cpu.Config) string {
 
 // captureKey names one cached capture: the full simulation input. Single-core
 // captures are keyed by (bench, seed, scale, core-config hash); multicore
-// captures leave those empty and carry a hash of the whole core set instead,
-// so pre-multicore spill sidecars (no "cores" field) keep their old ids.
+// captures leave those empty and carry a hash of the whole core set instead.
 type captureKey struct {
-	Bench string `json:"bench,omitempty"`
-	Seed  uint64 `json:"seed,omitempty"`
-	Scale uint64 `json:"scale,omitempty"`
-	Core  string `json:"core"`
-	Cores string `json:"cores,omitempty"`
+	Bench string
+	Seed  uint64
+	Scale uint64
+	Core  string
+	Cores string
 }
 
 // coreSetHash fingerprints a multicore job's ordered core set. Order matters:
@@ -50,7 +44,7 @@ func coreSetHash(cores []CoreJobSpec) string {
 	return hex.EncodeToString(h[:8])
 }
 
-// id is the map key and spill-file basename. The hex hashes keep it
+// id is the map key and the shared store's entry name. The hex hashes keep it
 // filesystem-safe; bench names are lowercase alphanumerics.
 func (k captureKey) id() string {
 	if k.Cores != "" {
@@ -91,20 +85,15 @@ type captureCache struct {
 	flights    map[string]chan struct{} // closed when the leader finishes
 	hits       uint64
 	misses     uint64
-	warnf      func(format string, args ...any)
 }
 
-func newCaptureCache(maxEntries int, maxBytes uint64, warnf func(string, ...any)) *captureCache {
-	if warnf == nil {
-		warnf = log.Printf
-	}
+func newCaptureCache(maxEntries int, maxBytes uint64) *captureCache {
 	return &captureCache{
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,
 		ll:         list.New(),
 		byKey:      map[string]*cacheEntry{},
 		flights:    map[string]chan struct{}{},
-		warnf:      warnf,
 	}
 }
 
@@ -205,134 +194,4 @@ func (c *captureCache) counters() (hits, misses uint64, entries int, bytes uint6
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses, c.ll.Len(), c.bytes
-}
-
-// spillMeta is the JSON sidecar persisted next to each spilled capture.
-// Single-core captures keep their stats in Stats so pre-multicore sidecars
-// round-trip unchanged; multicore captures add CoreStats (one per core).
-type spillMeta struct {
-	Key       captureKey  `json:"key"`
-	Records   uint64      `json:"records"`
-	Cycles    uint64      `json:"cycles"`
-	Stats     cpu.Stats   `json:"stats"`
-	CoreStats []cpu.Stats `json:"core_stats,omitempty"`
-}
-
-// persist writes every live entry to dir as <id>.trc (the encoded stream,
-// exactly what Capture.WriteTo emits) plus <id>.json (the sidecar), so a
-// restarted daemon starts warm. Entries are written most-recently-used
-// first so a truncated persist keeps the hottest captures.
-func (c *captureCache) persist(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	ents := make([]*cacheEntry, 0, c.ll.Len())
-	for e := c.ll.Front(); e != nil; e = e.Next() {
-		ent := e.Value.(*cacheEntry)
-		ent.refs++ // pin against concurrent eviction while writing
-		ents = append(ents, ent)
-	}
-	c.mu.Unlock()
-	var firstErr error
-	for _, ent := range ents {
-		if err := writeSpill(dir, ent); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		c.release(ent)
-	}
-	return firstErr
-}
-
-func writeSpill(dir string, ent *cacheEntry) error {
-	id := ent.key.id()
-	trcPath := filepath.Join(dir, id+".trc")
-	f, err := os.Create(trcPath)
-	if err != nil {
-		return err
-	}
-	if _, err := ent.capture.WriteTo(f); err != nil {
-		f.Close()
-		os.Remove(trcPath)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(trcPath)
-		return err
-	}
-	meta := spillMeta{
-		Key:     ent.key,
-		Records: ent.capture.Records(),
-		Cycles:  ent.capture.Cycles(),
-	}
-	if len(ent.stats) == 1 && ent.key.Cores == "" {
-		meta.Stats = ent.stats[0]
-	} else {
-		meta.CoreStats = ent.stats
-	}
-	data, err := json.MarshalIndent(meta, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, id+".json"), append(data, '\n'), 0o644)
-}
-
-// load restores persisted captures from dir (written by persist). Corrupted
-// or unreadable entries are skipped with a logged warning — the spill
-// directory is a cache, not a durability contract, so a bad entry must
-// never fail startup.
-func (c *captureCache) load(dir string) error {
-	names, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	var metas []string
-	for _, de := range names {
-		if strings.HasSuffix(de.Name(), ".json") {
-			metas = append(metas, de.Name())
-		}
-	}
-	sort.Strings(metas)
-	for _, name := range metas {
-		var meta spillMeta
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			c.warnf("tipd: spill sidecar %s: unreadable, skipping (%v)", name, err)
-			continue
-		}
-		if err := json.Unmarshal(data, &meta); err != nil {
-			c.warnf("tipd: spill sidecar %s: corrupted, skipping (%v)", name, err)
-			continue
-		}
-		enc, err := os.ReadFile(filepath.Join(dir, meta.Key.id()+".trc"))
-		if err != nil {
-			c.warnf("tipd: spill entry %s: missing payload, skipping (%v)", meta.Key.id(), err)
-			continue
-		}
-		capt, err := trace.NewCaptureFromEncoded(enc, meta.Records, meta.Cycles)
-		if err != nil {
-			c.warnf("tipd: spill entry %s: undecodable payload, skipping (%v)", meta.Key.id(), err)
-			continue
-		}
-		stats := meta.CoreStats
-		if len(stats) == 0 {
-			stats = []cpu.Stats{meta.Stats}
-		}
-		c.mu.Lock()
-		if _, dup := c.byKey[meta.Key.id()]; dup {
-			c.mu.Unlock()
-			continue
-		}
-		c.insertLocked(&cacheEntry{
-			key:     meta.Key,
-			capture: capt,
-			stats:   stats,
-			bytes:   capt.Bytes(),
-		})
-		c.mu.Unlock()
-	}
-	return nil
 }

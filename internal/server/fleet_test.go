@@ -219,7 +219,8 @@ func TestSaturation429Jitter(t *testing.T) {
 	}
 }
 
-// warnCollector is a threadsafe Config.Logf sink.
+// warnCollector is a threadsafe warning sink for Config.Logf or
+// fleet.Store.SetWarnf.
 type warnCollector struct {
 	mu   sync.Mutex
 	msgs []string
@@ -242,12 +243,14 @@ func (wc *warnCollector) contains(sub string) bool {
 	return false
 }
 
-// TestMulticoreSpillRestartRoundTrip spills a multicore (TIPTRC3 core-tagged)
-// capture across a restart and checks (a) the restarted daemon serves the
-// core set warm with per-core stats intact, and (b) a corrupted sidecar is
-// skipped with a logged warning instead of failing startup.
-func TestMulticoreSpillRestartRoundTrip(t *testing.T) {
-	spillDir := t.TempDir()
+// TestMulticoreStoreRestartRoundTrip carries a multicore (TIPTRC3
+// core-tagged) capture across restarts through the store and checks (a) a
+// restarted daemon serves the core set from the store with per-core stats
+// intact and identical profiles, and (b) a truncated payload whose sidecar
+// survived reads as a miss: the job re-simulates, the entry is rewritten
+// whole, and the next restart serves it from the store again.
+func TestMulticoreStoreRestartRoundTrip(t *testing.T) {
+	dir := t.TempDir()
 	spec := JobSpec{
 		Cores: []CoreJobSpec{
 			{Bench: "mcf", Scale: testScale},
@@ -256,83 +259,95 @@ func TestMulticoreSpillRestartRoundTrip(t *testing.T) {
 		Profilers:     []string{"TIP"},
 		TargetSamples: 256,
 	}
+	// runOn starts a fresh daemon on the store, runs spec to completion,
+	// and returns the finished view, its core-0 TIP profile, and how many
+	// simulations the daemon ran. (cpu.RunsStarted cannot tell: the
+	// lockstep multicore system steps its cores without Core.Run.)
+	runOn := func(warn func(string, ...any)) (JobView, []byte, uint64) {
+		t.Helper()
+		st, err := fleet.OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warn != nil {
+			st.SetWarnf(warn)
+		}
+		s, ts := newTestServer(t, Config{Workers: 1, Store: st})
+		v, code := submit(t, ts, spec)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit: status %d", code)
+		}
+		done := waitTerminal(t, ts, v.ID)
+		if done.State != stateDone || done.Result == nil || len(done.Result.Cores) != 2 {
+			t.Fatalf("multicore job: state=%s result=%+v (%s)", done.State, done.Result, done.Error)
+		}
+		prof := fetchPprof(t, ts, v.ID)
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return done, prof, s.Health().Simulations
+	}
 
-	// First daemon: simulate, then drain so the capture spills.
-	s1, ts1 := newTestServer(t, Config{Workers: 1, SpillDir: spillDir})
-	v, code := submit(t, ts1, spec)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: status %d", code)
+	cold, coldProf, _ := runOn(nil)
+	if cold.CaptureSource != sourceSimulated {
+		t.Fatalf("first daemon: source=%q, want simulated", cold.CaptureSource)
 	}
-	if done := waitTerminal(t, ts1, v.ID); done.State != stateDone {
-		t.Fatalf("multicore job finished %s (%s)", done.State, done.Error)
+	// The sidecar carries one stats entry per core.
+	trcs, err := filepath.Glob(filepath.Join(dir, "cores-*.trc"))
+	if err != nil || len(trcs) != 1 {
+		t.Fatalf("multicore store payloads = %v (%v), want exactly 1", trcs, err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := s1.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-	ts1.Close()
-
-	// The sidecar must carry the v3 multicore shape: a "cores" key and one
-	// stats entry per core.
-	sidecars, err := filepath.Glob(filepath.Join(spillDir, "cores-*.json"))
-	if err != nil || len(sidecars) != 1 {
-		t.Fatalf("multicore sidecars = %v (%v), want exactly 1", sidecars, err)
-	}
-	raw, err := os.ReadFile(sidecars[0])
+	raw, err := os.ReadFile(strings.TrimSuffix(trcs[0], ".trc") + ".json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var meta spillMeta
-	if err := json.Unmarshal(raw, &meta); err != nil {
+	var meta struct {
+		Stats []cpu.Stats `json:"core_stats"`
+	}
+	if err := json.Unmarshal(raw, &meta); err != nil || len(meta.Stats) != 2 {
+		t.Fatalf("sidecar core_stats=%d (%v), want a 2-core entry", len(meta.Stats), err)
+	}
+	payload, err := os.ReadFile(trcs[0])
+	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Key.Cores == "" || len(meta.CoreStats) != 2 {
-		t.Fatalf("sidecar key=%+v core_stats=%d, want a 2-core entry", meta.Key, len(meta.CoreStats))
+
+	// Restart: the same core set is served from the store, no simulation.
+	warm, warmProf, sims := runOn(nil)
+	if warm.CaptureSource != sourceStore || sims != 0 {
+		t.Fatalf("restarted daemon: source=%q with %d simulations, want store with 0",
+			warm.CaptureSource, sims)
+	}
+	if !bytes.Equal(warmProf, coldProf) {
+		t.Fatal("restarted daemon's profile differs from the cold run's")
 	}
 
-	// Restart: the same core set must be a warm hit with no simulation.
-	runs0 := cpu.RunsStarted()
-	_, ts2 := newTestServer(t, Config{Workers: 1, SpillDir: spillDir})
-	v2, code := submit(t, ts2, spec)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit after restart: status %d", code)
-	}
-	done2 := waitTerminal(t, ts2, v2.ID)
-	if done2.State != stateDone || !done2.CacheHit || done2.CaptureSource != "cache" {
-		t.Fatalf("restarted daemon: state=%s hit=%v source=%q (%s)",
-			done2.State, done2.CacheHit, done2.CaptureSource, done2.Error)
-	}
-	if done2.Result == nil || len(done2.Result.Cores) != 2 {
-		t.Fatalf("restored multicore result = %+v", done2.Result)
-	}
-	if got := cpu.RunsStarted() - runs0; got != 0 {
-		t.Fatalf("restored entry still simulated %d times", got)
-	}
-
-	// Corrupt the sidecar: the next restart must skip the entry with a
-	// warning, not fail.
-	if err := os.WriteFile(sidecars[0], []byte(`{"key":`), 0o644); err != nil {
+	// Truncate the payload and keep its sidecar: the entry fails
+	// verification, the job re-simulates, and the put heals the entry.
+	if err := os.WriteFile(trcs[0], payload[:len(payload)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	wc := &warnCollector{}
-	s3, err := New(Config{Workers: 1, SpillDir: spillDir, Logf: wc.logf})
-	if err != nil {
-		t.Fatalf("startup failed on a corrupted sidecar: %v", err)
+	healed, healedProf, sims := runOn(wc.logf)
+	if healed.CaptureSource != sourceSimulated || sims == 0 {
+		t.Fatalf("truncated entry: source=%q with %d simulations, want a fresh simulation",
+			healed.CaptureSource, sims)
 	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		// Drop the spill dir first so shutdown doesn't re-persist over the
-		// corruption we just checked.
-		s3.cfg.SpillDir = ""
-		s3.Shutdown(ctx)
-	}()
-	if !wc.contains("corrupted") {
-		t.Fatalf("no corruption warning logged: %v", wc.msgs)
+	if !wc.contains("payload hash") {
+		t.Fatalf("no integrity warning logged: %v", wc.msgs)
 	}
-	if _, _, entries, _ := s3.cache.counters(); entries != 0 {
-		t.Fatalf("corrupted entry loaded anyway (%d entries)", entries)
+	if !bytes.Equal(healedProf, coldProf) {
+		t.Fatal("re-simulated profile differs from the cold run's")
+	}
+	if got, err := os.ReadFile(trcs[0]); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("store entry not rewritten whole (%d of %d bytes, %v)", len(got), len(payload), err)
+	}
+	again, _, sims := runOn(nil)
+	if again.CaptureSource != sourceStore || sims != 0 {
+		t.Fatalf("after healing: source=%q with %d simulations, want store with 0",
+			again.CaptureSource, sims)
 	}
 }
 

@@ -151,19 +151,9 @@ func (sp *JobSpec) normalize() ([]profiler.Kind, profile.Granularity, error) {
 		}
 		sp.WindowCycles, sp.WindowInterval, sp.WarmupCycles = rc.WindowCycles, rc.WindowInterval, &rc.WarmupCycles
 	}
-	var kinds []profiler.Kind
-	if len(sp.Profilers) > 0 {
-		byName := map[string]profiler.Kind{}
-		for _, k := range profiler.AllKinds() {
-			byName[strings.ToLower(k.String())] = k
-		}
-		for _, name := range sp.Profilers {
-			k, ok := byName[strings.ToLower(strings.TrimSpace(name))]
-			if !ok {
-				return nil, 0, fmt.Errorf("unknown profiler %q", name)
-			}
-			kinds = append(kinds, k)
-		}
+	kinds, err := profiler.ParseKinds(sp.Profilers...)
+	if err != nil {
+		return nil, 0, err
 	}
 	var gran profile.Granularity
 	switch strings.ToLower(sp.Granularity) {
@@ -205,7 +195,6 @@ type job struct {
 	finished time.Time
 	cancel   context.CancelFunc
 
-	cacheHit bool
 	// source records where the job's capture came from: "cache" (local LRU
 	// or a shared singleflight), "store" (pulled from the fleet's shared
 	// capture store), "simulated" (a fresh cycle-level simulation), or
@@ -229,11 +218,10 @@ const (
 // jobOutcome is what a successful execution hands back to the server.
 // Exactly one of res (single-core) and multi (multicore) is set.
 type jobOutcome struct {
-	res      *tip.Result
-	multi    *tip.MulticoreResult
-	cacheHit bool
-	source   string
-	timing   experiments.Timing
+	res    *tip.Result
+	multi  *tip.MulticoreResult
+	source string
+	timing experiments.Timing
 }
 
 // executeJob is the real job runner. A sampled job runs its schedule
@@ -354,7 +342,6 @@ func (s *Server) withCapture(ctx context.Context, key captureKey, out *jobOutcom
 		return err
 	}
 	defer s.cache.release(ent)
-	out.cacheHit = hit
 	out.source = captureSource(hit, fromStore)
 	out.timing.Capture = time.Since(start)
 
@@ -459,7 +446,8 @@ type JobView struct {
 	Created  time.Time  `json:"created"`
 	Started  *time.Time `json:"started,omitempty"`
 	Finished *time.Time `json:"finished,omitempty"`
-	CacheHit bool       `json:"cache_hit"`
+	// CacheHit reports CaptureSource == "cache".
+	CacheHit bool `json:"cache_hit"`
 	// CaptureSource says where the capture came from: "cache", "store",
 	// "simulated", or "sampled". Empty until the job finishes.
 	CaptureSource string      `json:"capture_source,omitempty"`
@@ -475,7 +463,7 @@ func (s *Server) view(jb *job) JobView {
 		Spec:          jb.spec,
 		Error:         jb.errMsg,
 		Created:       jb.created,
-		CacheHit:      jb.cacheHit,
+		CacheHit:      jb.source == sourceCache,
 		CaptureSource: jb.source,
 	}
 	if !jb.started.IsZero() {

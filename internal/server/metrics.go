@@ -5,6 +5,8 @@ import (
 	"io"
 	"sort"
 	"sync"
+
+	"github.com/tipprof/tip/internal/fleet"
 )
 
 // histBuckets are the shared latency buckets (seconds) for the capture and
@@ -34,16 +36,17 @@ func (h *histogram) observe(v float64) {
 	h.count++
 }
 
-// write renders the histogram in Prometheus text exposition format.
-func (h *histogram) write(w io.Writer, name string) {
+// write renders the histogram's samples in Prometheus text exposition
+// format.
+func (h *histogram) write(p fleet.Prom, name string) {
 	cum := uint64(0)
 	for i, ub := range histBuckets {
 		cum += h.counts[i]
-		fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, ub, cum)
+		p.Sample(fmt.Sprintf("%s_bucket{le=\"%g\"}", name, ub), cum)
 	}
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, h.count)
-	fmt.Fprintf(w, "%s_sum %g\n", name, h.sum)
-	fmt.Fprintf(w, "%s_count %d\n", name, h.count)
+	p.Sample(name+`_bucket{le="+Inf"}`, h.count)
+	p.Sample(name+"_sum", h.sum)
+	p.Sample(name+"_count", h.count)
 }
 
 // metrics aggregates the daemon's counters. Gauges (queue depth, running
@@ -138,89 +141,50 @@ type gauges struct {
 func (m *metrics) writeProm(w io.Writer, g gauges) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	p := fleet.Prom{W: w}
 
-	fmt.Fprintf(w, "# HELP tipd_jobs_total Terminal job transitions by state.\n")
-	fmt.Fprintf(w, "# TYPE tipd_jobs_total counter\n")
+	p.Family("tipd_jobs_total", "counter", "Terminal job transitions by state.")
 	states := make([]string, 0, len(m.jobsTotal))
 	for s := range m.jobsTotal {
 		states = append(states, s)
 	}
 	sort.Strings(states)
 	for _, s := range states {
-		fmt.Fprintf(w, "tipd_jobs_total{state=%q} %d\n", s, m.jobsTotal[s])
+		p.Sample(fmt.Sprintf("tipd_jobs_total{state=%q}", s), m.jobsTotal[s])
 	}
+	p.Metric("tipd_jobs_accepted_total", "counter", "Jobs admitted to the queue.", m.accepted)
+	p.Metric("tipd_jobs_rejected_total", "counter", "Submissions refused with 429 (queue saturated).", m.rejected)
 
-	fmt.Fprintf(w, "# HELP tipd_jobs_accepted_total Jobs admitted to the queue.\n")
-	fmt.Fprintf(w, "# TYPE tipd_jobs_accepted_total counter\n")
-	fmt.Fprintf(w, "tipd_jobs_accepted_total %d\n", m.accepted)
-	fmt.Fprintf(w, "# HELP tipd_jobs_rejected_total Submissions refused with 429 (queue saturated).\n")
-	fmt.Fprintf(w, "# TYPE tipd_jobs_rejected_total counter\n")
-	fmt.Fprintf(w, "tipd_jobs_rejected_total %d\n", m.rejected)
+	p.Metric("tipd_queue_depth", "gauge", "Jobs waiting in the admission queue.", g.queueDepth)
+	p.Metric("tipd_jobs_running", "gauge", "Jobs currently executing on the worker pool.", g.running)
+	p.Metric("tipd_workers", "gauge", "Size of the worker pool.", g.workers)
+	p.Metric("tipd_draining", "gauge", "Whether the daemon is shutting down.", boolGauge(g.draining))
 
-	fmt.Fprintf(w, "# HELP tipd_queue_depth Jobs waiting in the admission queue.\n")
-	fmt.Fprintf(w, "# TYPE tipd_queue_depth gauge\n")
-	fmt.Fprintf(w, "tipd_queue_depth %d\n", g.queueDepth)
-	fmt.Fprintf(w, "# HELP tipd_jobs_running Jobs currently executing on the worker pool.\n")
-	fmt.Fprintf(w, "# TYPE tipd_jobs_running gauge\n")
-	fmt.Fprintf(w, "tipd_jobs_running %d\n", g.running)
-	fmt.Fprintf(w, "# HELP tipd_workers Size of the worker pool.\n")
-	fmt.Fprintf(w, "# TYPE tipd_workers gauge\n")
-	fmt.Fprintf(w, "tipd_workers %d\n", g.workers)
-	fmt.Fprintf(w, "# HELP tipd_draining Whether the daemon is shutting down.\n")
-	fmt.Fprintf(w, "# TYPE tipd_draining gauge\n")
-	fmt.Fprintf(w, "tipd_draining %d\n", boolGauge(g.draining))
-
-	fmt.Fprintf(w, "# HELP tipd_capture_cache_hits_total Jobs served from a cached capture (including singleflight-shared simulations).\n")
-	fmt.Fprintf(w, "# TYPE tipd_capture_cache_hits_total counter\n")
-	fmt.Fprintf(w, "tipd_capture_cache_hits_total %d\n", g.cacheHits)
-	fmt.Fprintf(w, "# HELP tipd_capture_cache_misses_total Jobs that had to simulate.\n")
-	fmt.Fprintf(w, "# TYPE tipd_capture_cache_misses_total counter\n")
-	fmt.Fprintf(w, "tipd_capture_cache_misses_total %d\n", g.cacheMisses)
-	fmt.Fprintf(w, "# HELP tipd_capture_cache_hit_ratio Fraction of capture lookups served from cache.\n")
-	fmt.Fprintf(w, "# TYPE tipd_capture_cache_hit_ratio gauge\n")
+	p.Metric("tipd_capture_cache_hits_total", "counter", "Jobs served from a cached capture (including singleflight-shared simulations).", g.cacheHits)
+	p.Metric("tipd_capture_cache_misses_total", "counter", "Jobs that had to simulate.", g.cacheMisses)
 	ratio := 0.0
 	if total := g.cacheHits + g.cacheMisses; total > 0 {
 		ratio = float64(g.cacheHits) / float64(total)
 	}
-	fmt.Fprintf(w, "tipd_capture_cache_hit_ratio %g\n", ratio)
-	fmt.Fprintf(w, "# HELP tipd_capture_cache_entries Captures currently cached.\n")
-	fmt.Fprintf(w, "# TYPE tipd_capture_cache_entries gauge\n")
-	fmt.Fprintf(w, "tipd_capture_cache_entries %d\n", g.cacheEntries)
-	fmt.Fprintf(w, "# HELP tipd_capture_cache_bytes Encoded bytes held by the capture cache.\n")
-	fmt.Fprintf(w, "# TYPE tipd_capture_cache_bytes gauge\n")
-	fmt.Fprintf(w, "tipd_capture_cache_bytes %d\n", g.cacheBytes)
+	p.Metric("tipd_capture_cache_hit_ratio", "gauge", "Fraction of capture lookups served from cache.", ratio)
+	p.Metric("tipd_capture_cache_entries", "gauge", "Captures currently cached.", g.cacheEntries)
+	p.Metric("tipd_capture_cache_bytes", "gauge", "Encoded bytes held by the capture cache.", g.cacheBytes)
 
-	fmt.Fprintf(w, "# HELP tipd_simulations_total Full cycle-level capture simulations performed (jobs not served by cache or store).\n")
-	fmt.Fprintf(w, "# TYPE tipd_simulations_total counter\n")
-	fmt.Fprintf(w, "tipd_simulations_total %d\n", m.simulations)
+	p.Metric("tipd_simulations_total", "counter", "Full cycle-level capture simulations performed (jobs not served by cache or store).", m.simulations)
 	if g.store {
-		fmt.Fprintf(w, "# HELP tipd_store_hits_total Capture-cache misses served from the shared store.\n")
-		fmt.Fprintf(w, "# TYPE tipd_store_hits_total counter\n")
-		fmt.Fprintf(w, "tipd_store_hits_total %d\n", g.storeHits)
-		fmt.Fprintf(w, "# HELP tipd_store_misses_total Shared-store lookups that found nothing usable.\n")
-		fmt.Fprintf(w, "# TYPE tipd_store_misses_total counter\n")
-		fmt.Fprintf(w, "tipd_store_misses_total %d\n", g.storeMisses)
-		fmt.Fprintf(w, "# HELP tipd_store_puts_total Captures published to the shared store.\n")
-		fmt.Fprintf(w, "# TYPE tipd_store_puts_total counter\n")
-		fmt.Fprintf(w, "tipd_store_puts_total %d\n", g.storePuts)
+		p.Metric("tipd_store_hits_total", "counter", "Capture-cache misses served from the shared store.", g.storeHits)
+		p.Metric("tipd_store_misses_total", "counter", "Shared-store lookups that found nothing usable.", g.storeMisses)
+		p.Metric("tipd_store_puts_total", "counter", "Captures published to the shared store.", g.storePuts)
 	}
 
-	fmt.Fprintf(w, "# HELP tipd_capture_seconds Capture-phase duration of completed jobs (cache hits observe ~0).\n")
-	fmt.Fprintf(w, "# TYPE tipd_capture_seconds histogram\n")
-	m.captureSeconds.write(w, "tipd_capture_seconds")
-	fmt.Fprintf(w, "# HELP tipd_replay_seconds Replay-phase duration of completed jobs.\n")
-	fmt.Fprintf(w, "# TYPE tipd_replay_seconds histogram\n")
-	m.replaySeconds.write(w, "tipd_replay_seconds")
+	p.Family("tipd_capture_seconds", "histogram", "Capture-phase duration of completed jobs (cache hits observe ~0).")
+	m.captureSeconds.write(p, "tipd_capture_seconds")
+	p.Family("tipd_replay_seconds", "histogram", "Replay-phase duration of completed jobs.")
+	m.replaySeconds.write(p, "tipd_replay_seconds")
 
-	fmt.Fprintf(w, "# HELP tipd_simulated_cycles_total Core cycles simulated by cache-miss captures.\n")
-	fmt.Fprintf(w, "# TYPE tipd_simulated_cycles_total counter\n")
-	fmt.Fprintf(w, "tipd_simulated_cycles_total %d\n", m.simCycles)
-	fmt.Fprintf(w, "# HELP tipd_replayed_cycles_total Core cycles streamed through profiler replays.\n")
-	fmt.Fprintf(w, "# TYPE tipd_replayed_cycles_total counter\n")
-	fmt.Fprintf(w, "tipd_replayed_cycles_total %d\n", m.replayCycles)
-	fmt.Fprintf(w, "# HELP tipd_cycles_per_second Simulated-cycle throughput of the most recent completed job.\n")
-	fmt.Fprintf(w, "# TYPE tipd_cycles_per_second gauge\n")
-	fmt.Fprintf(w, "tipd_cycles_per_second %g\n", m.lastCPS)
+	p.Metric("tipd_simulated_cycles_total", "counter", "Core cycles simulated by cache-miss captures.", m.simCycles)
+	p.Metric("tipd_replayed_cycles_total", "counter", "Core cycles streamed through profiler replays.", m.replayCycles)
+	p.Metric("tipd_cycles_per_second", "gauge", "Simulated-cycle throughput of the most recent completed job.", m.lastCPS)
 }
 
 func boolGauge(b bool) int {

@@ -29,12 +29,14 @@ import (
 	"reflect"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
 	"github.com/tipprof/tip/internal/cpu"
 	"github.com/tipprof/tip/internal/fleet"
 	"github.com/tipprof/tip/internal/pprofenc"
+	"github.com/tipprof/tip/internal/profiler"
 )
 
 // Config parameterises the daemon.
@@ -50,9 +52,6 @@ type Config struct {
 	// CacheBytes bounds the capture cache's encoded footprint
 	// (default 1 GiB).
 	CacheBytes uint64
-	// SpillDir, when set, persists the capture cache there on graceful
-	// shutdown and re-loads it on startup.
-	SpillDir string
 	// JobTimeout bounds one job's execution (default 10m).
 	JobTimeout time.Duration
 	// MaxRetainedJobs bounds finished jobs kept for retrieval; the oldest
@@ -61,12 +60,13 @@ type Config struct {
 	// Core is the simulated core configuration for every job (default
 	// Table 1). It is part of the capture-cache key.
 	Core cpu.Config
-	// Store, when set, is the fleet's shared capture store: cache misses
-	// try the store before simulating, and freshly simulated captures are
-	// published to it, so any node in a fleet serves any warm key.
+	// Store, when set, is the on-disk capture store: cache misses try the
+	// store before simulating, and freshly simulated captures are published
+	// to it as they are made, so a restarted daemon on the same store — or
+	// any node of a fleet sharing it — serves every stored key warm.
 	Store *fleet.Store
-	// Logf receives operational warnings (corrupted spill entries, failed
-	// store publishes). Default log.Printf.
+	// Logf receives operational warnings (failed store publishes). Default
+	// log.Printf.
 	Logf func(format string, args ...any)
 }
 
@@ -129,8 +129,7 @@ type Server struct {
 	execute func(ctx context.Context, jb *job) (*jobOutcome, error)
 }
 
-// New builds a Server, loads any persisted captures from cfg.SpillDir, and
-// starts the worker pool.
+// New builds a Server and starts the worker pool.
 func New(cfg Config) (*Server, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, fmt.Errorf("server: %w", err)
@@ -140,17 +139,12 @@ func New(cfg Config) (*Server, error) {
 		coreHash: coreConfigHash(cfg.Core),
 		jobs:     map[string]*job{},
 		queue:    make(chan *job, cfg.QueueDepth),
-		cache:    newCaptureCache(cfg.CacheEntries, cfg.CacheBytes, cfg.Logf),
+		cache:    newCaptureCache(cfg.CacheEntries, cfg.CacheBytes),
 		met:      newMetrics(),
 		mux:      http.NewServeMux(),
 	}
 	s.baseCtx, s.abort = context.WithCancel(context.Background())
 	s.execute = s.executeJob
-	if cfg.SpillDir != "" {
-		if err := s.cache.load(cfg.SpillDir); err != nil {
-			return nil, fmt.Errorf("server: loading capture cache: %w", err)
-		}
-	}
 	s.routes()
 	for i := 0; i < cfg.Workers; i++ {
 		s.workers.Add(1)
@@ -207,7 +201,6 @@ func (s *Server) runJob(jb *job) {
 	switch {
 	case err == nil:
 		jb.outcome = out
-		jb.cacheHit = out.cacheHit
 		jb.source = out.source
 		jb.timing = out.timing
 	case errors.Is(err, context.Canceled):
@@ -258,11 +251,12 @@ func (s *Server) startDrainLocked() {
 	close(s.queue)
 }
 
-// Shutdown gracefully stops the daemon: new submissions are refused, queued
-// and running jobs drain, and the capture cache is persisted to the spill
-// directory. If ctx expires first, in-flight jobs are aborted via their
-// contexts and Shutdown returns ctx's error after they unwind — ctx is the
-// drain-timeout bound, so a wedged job cannot hold shutdown forever.
+// Shutdown gracefully stops the daemon: new submissions are refused and
+// queued and running jobs drain. Nothing is written at shutdown — captures
+// reach the store when they are simulated. If ctx expires first, in-flight
+// jobs are aborted via their contexts and Shutdown returns ctx's error after
+// they unwind — ctx is the drain-timeout bound, so a wedged job cannot hold
+// shutdown forever.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.shutdown {
@@ -278,20 +272,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.workers.Wait()
 		close(done)
 	}()
-	var err error
 	select {
 	case <-done:
+		return nil
 	case <-ctx.Done():
-		err = ctx.Err()
 		s.abort() // cancel in-flight job contexts
 		<-done
+		return ctx.Err()
 	}
-	if s.cfg.SpillDir != "" {
-		if perr := s.cache.persist(s.cfg.SpillDir); perr != nil && err == nil {
-			err = perr
-		}
-	}
-	return err
 }
 
 // --- HTTP handlers ---------------------------------------------------------
@@ -496,24 +484,27 @@ func (s *Server) handlePprof(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Profiler names match case-insensitively, as at submit; the payload
+	// and filename carry the canonical name.
 	name := r.URL.Query().Get("profiler")
 	if name == "" {
 		name = "TIP"
 	}
 	prof := res.Oracle.Profile
-	if name != "Oracle" {
-		found := false
-		for k, sp := range res.Sampled {
-			if k.String() == name {
-				prof = sp.Profile
-				found = true
-				break
-			}
+	if strings.EqualFold(name, "Oracle") {
+		name = "Oracle"
+	} else {
+		kinds, err := profiler.ParseKinds(name)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err.Error())
+			return
 		}
-		if !found {
+		sp, ok := res.Sampled[kinds[0]]
+		if !ok {
 			httpError(w, http.StatusBadRequest, fmt.Sprintf("profiler %q not in this job (use Oracle or one of the job's profilers)", name))
 			return
 		}
+		name, prof = kinds[0].String(), sp.Profile
 	}
 	opt := pprofenc.JobOptions(bench, seed, scale, name, res.SampleInterval)
 	opt.Labels = labels

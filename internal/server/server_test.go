@@ -15,6 +15,7 @@ import (
 
 	tip "github.com/tipprof/tip"
 	"github.com/tipprof/tip/internal/cpu"
+	"github.com/tipprof/tip/internal/fleet"
 	"github.com/tipprof/tip/internal/pprofenc"
 	"github.com/tipprof/tip/internal/profiler"
 	"github.com/tipprof/tip/internal/workload"
@@ -191,6 +192,22 @@ func TestJobLifecycle(t *testing.T) {
 		t.Fatalf("daemon pprof (%d bytes) differs from batch encoding (%d bytes)", len(got), len(want))
 	}
 
+	// Names match case-insensitively, as at submit: ?profiler=tip is the
+	// same profile, with the canonical name in its comment and filename.
+	resp, err = http.Get(ts.URL + "/v1/jobs/" + v.ID + "/pprof?profiler=tip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lower, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(lower, got) {
+		t.Fatalf("?profiler=tip: status %d, %d bytes; want the %d bytes of ?profiler=TIP",
+			resp.StatusCode, len(lower), len(got))
+	}
+	if cd := resp.Header.Get("Content-Disposition"); !strings.HasSuffix(cd, "filename=x264-TIP.pb.gz") {
+		t.Fatalf("?profiler=tip: Content-Disposition %q, want the canonical name", cd)
+	}
+
 	// Oracle export works too; an unknown profiler is a client error.
 	resp, err = http.Get(ts.URL + "/v1/jobs/" + v.ID + "/pprof?profiler=Oracle")
 	if err != nil {
@@ -209,6 +226,15 @@ func TestJobLifecycle(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("pprof for profiler outside the job: status %d, want 400", resp.StatusCode)
+	}
+	resp, err = http.Get(ts.URL + "/v1/jobs/" + v.ID + "/pprof?profiler=perf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("pprof for an unknown profiler: status %d, want 400", resp.StatusCode)
 	}
 
 	// DELETE on a terminal job forgets it.
@@ -581,13 +607,19 @@ func TestExecuteCanceledContext(t *testing.T) {
 	}
 }
 
-// TestShutdownDrainsAndSpills submits work, shuts the daemon down gracefully,
-// and checks (a) queued jobs finish rather than vanish, (b) new submissions
-// are refused while draining, and (c) a fresh daemon pointed at the same
-// spill directory serves the capture from disk without re-simulating.
-func TestShutdownDrainsAndSpills(t *testing.T) {
-	spill := t.TempDir()
-	s, err := New(Config{Workers: 2, SpillDir: spill})
+// TestShutdownDrainsAndRestartsFromStore submits work, shuts the daemon down
+// gracefully, and checks (a) queued jobs finish rather than vanish, (b) new
+// submissions are refused while draining, and (c) a fresh daemon on the same
+// capture store serves the job from disk without re-simulating — the store
+// is written at simulate time, so there is nothing left to persist at
+// shutdown.
+func TestShutdownDrainsAndRestartsFromStore(t *testing.T) {
+	dir := t.TempDir()
+	st, err := fleet.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Workers: 2, Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -621,34 +653,28 @@ func TestShutdownDrainsAndSpills(t *testing.T) {
 		t.Fatalf("submit while draining: status %d, want 503", code)
 	}
 
-	// A fresh daemon restores the capture from the spill directory: the
-	// same job is a cache hit with zero new simulations.
-	runs0 := cpu.RunsStarted()
-	s2, err := New(Config{Workers: 1, SpillDir: spill})
+	// A fresh daemon on the same store serves the job from it with zero
+	// new simulations.
+	st2, err := fleet.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts2 := httptest.NewServer(s2.Handler())
-	defer ts2.Close()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		s2.Shutdown(ctx)
-	}()
-
+	runs0 := cpu.RunsStarted()
+	s2, ts2 := newTestServer(t, Config{Workers: 1, Store: st2})
 	v, code := submit(t, ts2, testSpec())
 	if code != http.StatusAccepted {
 		t.Fatalf("submit to warm daemon: status %d", code)
 	}
 	done := waitTerminal(t, ts2, v.ID)
-	if done.State != stateDone {
-		t.Fatalf("warm job finished %s (%s)", done.State, done.Error)
-	}
-	if !done.CacheHit {
-		t.Fatal("warm-start job should hit the spilled capture")
+	if done.State != stateDone || done.CaptureSource != sourceStore || done.CacheHit {
+		t.Fatalf("warm-start job: state=%s source=%q hit=%v (%s), want done from the store",
+			done.State, done.CaptureSource, done.CacheHit, done.Error)
 	}
 	if got := cpu.RunsStarted() - runs0; got != 0 {
 		t.Fatalf("warm daemon ran %d simulations, want 0", got)
+	}
+	if sims := s2.Health().Simulations; sims != 0 {
+		t.Fatalf("warm daemon reports %d simulations, want 0", sims)
 	}
 }
 

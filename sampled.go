@@ -157,7 +157,7 @@ func mulDiv(a, b, d uint64) uint64 {
 // detailed loops check their context every sampledCancelMask+1 core cycles.
 const sampledCancelMask = 8191
 
-// AutoWarmupCycles is the `-warmup auto` heuristic (RunConfig.WarmupAuto):
+// AutoWarmupCycles is the `-warmup auto` heuristic (ResolveSampled's "auto"):
 // pick a warmup prefix proportional to the gap the fast-forward legs span, so
 // long skips — which leave more stale μarch state per unit of warming — get
 // proportionally more detailed state-priming, while short gaps are not eaten
